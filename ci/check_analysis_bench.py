@@ -14,7 +14,8 @@ Asserts that
     check guards against the optimization regressing outright, not against
     run-to-run jitter);
   * the clusterer section covers the documented problem sizes and the
-    engine section carries both the reuse=off and reuse=on round cost;
+    engine section carries the end-to-end adaptive run (wall time, rounds
+    and saved samples, with at least one sample saved);
   * the coordination section covers both stopping rules at K in {1, 4, 16},
     every run saved samples, and for each rule the saved count is
     monotonically non-decreasing in K (coordinated stopping promises
@@ -38,6 +39,7 @@ EXPECTED_SECTIONS = {"comparator", "clusterer", "engine", "coordination",
 SPEEDUP_FLOOR = 0.5
 COORDINATION_RULES = ("stability", "confidence")
 COORDINATION_SHARDS = (1, 4, 16)
+ENGINE_PARAM = "algorithms=32"
 
 
 def fail(message: str) -> None:
@@ -98,12 +100,12 @@ def main() -> None:
         if expected not in sparse:
             fail(f"{path}: clusterer sparse_wall_ms missing {expected}")
 
-    round_cost = find("engine", "round_wall_ms")
-    for expected in ("reuse=off", "reuse=on"):
-        if expected not in round_cost:
-            fail(f"{path}: engine round_wall_ms missing {expected}")
-    if not find("engine", "round_speedup"):
-        fail(f"{path}: no engine round_speedup row")
+    for metric in ("run_wall_ms", "rounds", "saved_samples"):
+        if ENGINE_PARAM not in find("engine", metric):
+            fail(f"{path}: engine {metric} missing {ENGINE_PARAM}")
+    if find("engine", "saved_samples")[ENGINE_PARAM] <= 0:
+        fail(f"{path}: the adaptive engine run saved no samples — early "
+             f"stopping never fired")
 
     saved = find("coordination", "saved_samples")
     for rule in COORDINATION_RULES:

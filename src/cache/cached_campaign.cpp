@@ -3,7 +3,6 @@
 #include "cache/cached_source.hpp"
 #include "campaign/merge.hpp"
 #include "campaign/runner.hpp"
-#include "core/measurement_engine.hpp"
 #include "obs/metrics.hpp"
 
 #include <utility>
@@ -20,20 +19,31 @@ void restore_fixed_n(core::AnalysisResult& analysis,
         analysis.measurements.size() * spec.measurements;
 }
 
+/// The coordinator's run with its broadcast history, before any cache
+/// bookkeeping.
+CachedRunResult from_coordinated(campaign::CoordinatedCampaignResult run) {
+    CachedRunResult out;
+    out.analysis = std::move(run.analysis);
+    out.stopset_rounds = std::move(run.stopset_rounds);
+    out.rounds = run.rounds;
+    return out;
+}
+
+/// An analysis that carries no coordinator history.
+CachedRunResult from_analysis(core::AnalysisResult analysis) {
+    CachedRunResult out;
+    out.analysis = std::move(analysis);
+    return out;
+}
+
 /// A cold run of the uncached path, capturing the coordinated metadata.
 CachedRunResult run_uncached(const campaign::CampaignSpec& spec,
                              std::size_t shard_count, std::size_t workers) {
-    CachedRunResult out;
     if (spec.adaptive_coordinated) {
-        campaign::CoordinatedCampaignResult coordinated =
-            campaign::run_coordinated_campaign(spec, shard_count);
-        out.analysis = std::move(coordinated.analysis);
-        out.stopset_rounds = std::move(coordinated.stopset_rounds);
-        out.rounds = coordinated.rounds;
-    } else {
-        out.analysis = campaign::run_campaign(spec, shard_count, workers);
+        return from_coordinated(
+            campaign::run_coordinated_campaign(spec, shard_count));
     }
-    return out;
+    return from_analysis(campaign::run_campaign(spec, shard_count, workers));
 }
 
 } // namespace
@@ -64,14 +74,12 @@ CachedRunResult run_campaign_cached(const campaign::CampaignSpec& spec,
     }
 
     CacheLookup lookup = cache.lookup(spec);
-    CachedRunResult out;
-    out.cache = lookup.kind;
-
     if (lookup.kind == HitKind::Exact) {
         // Re-cluster the cached samples under the spec's analysis knobs —
         // byte-identical to the original analysis, zero executor draws.
-        out.analysis = core::analyze_measurements(std::move(lookup.merged),
-                                                  spec.analysis_config());
+        CachedRunResult out = from_analysis(core::analyze_measurements(
+            std::move(lookup.merged), spec.analysis_config()));
+        out.cache = HitKind::Exact;
         restore_fixed_n(out.analysis, spec);
         out.samples_from_cache = out.analysis.total_samples;
         obs::metrics().cache_extension_samples_saved_total.inc(
@@ -85,42 +93,25 @@ CachedRunResult run_campaign_cached(const campaign::CampaignSpec& spec,
         // Re-run the ordinary measurement path with the cached samples
         // replayed as each algorithm's stream prefix: identical values in
         // identical order make every decision identical to a cold run, and
-        // only draws beyond the prefix reach the executor.
+        // only draws beyond the prefix reach the executor. cacheable()
+        // admitted the plan, so a shard-local adaptive one runs with K == 1:
+        // the one engine over the full variant list.
         campaign::GlobalSampleSource bundle(spec);
         CachedSampleSource replay(bundle.source(), lookup.merged);
-        if (spec.adaptive_coordinated) {
-            campaign::CoordinatedCampaignResult coordinated =
-                campaign::run_coordinated_campaign(spec, shard_count, replay);
-            out.analysis = std::move(coordinated.analysis);
-            out.stopset_rounds = std::move(coordinated.stopset_rounds);
-            out.rounds = coordinated.rounds;
-        } else if (spec.adaptive()) {
-            // cacheable() admitted this plan, so K == 1: the single-shard
-            // engine over the full global variant list.
-            const core::AnalysisConfig config = spec.analysis_config();
-            const core::MeasurementEngine engine(
-                spec.adaptive_config(), config.comparator, config.clustering);
-            core::EngineResult engine_result = engine.run(replay);
-            out.analysis.measurements = std::move(engine_result.measurements);
-            out.analysis.clustering = std::move(engine_result.clustering);
-            out.analysis.samples_per_alg =
-                std::move(engine_result.samples_per_alg);
-            out.analysis.total_samples = engine_result.total_samples;
-            out.analysis.fixed_n_samples = engine_result.fixed_n_samples;
-        } else {
-            core::MeasurementSet measured =
-                core::measure_all(replay, spec.measurements);
-            out.analysis = core::analyze_measurements(std::move(measured),
-                                                      spec.analysis_config());
-            restore_fixed_n(out.analysis, spec);
-        }
+        CachedRunResult out =
+            spec.adaptive_coordinated
+                ? from_coordinated(campaign::run_coordinated_campaign(
+                      spec, shard_count, replay))
+                : from_analysis(
+                      core::analyze_source(replay, spec.analysis_config()));
+        out.cache = HitKind::Prefix;
         out.samples_from_cache = replay.served();
         cache.store(spec, out.analysis.measurements, out.stopset_rounds);
         return out;
     }
 
     // Miss: measure cold, publish the result for the next run.
-    out = run_uncached(spec, shard_count, workers);
+    CachedRunResult out = run_uncached(spec, shard_count, workers);
     cache.store(spec, out.analysis.measurements, out.stopset_rounds);
     return out;
 }

@@ -12,8 +12,9 @@
 //!    count drawn samples).
 //!  - **Prefix extension** — the entry's samples are replayed as the stream
 //!    prefix through a CachedSampleSource over the spec's real source
-//!    (cached_source.hpp); the ordinary measurement path re-runs from
-//!    scratch seeing identical values, so the final MeasurementSet is
+//!    (cached_source.hpp); the ordinary measurement path (core::analyze_source,
+//!    through the coordinator for coordinated plans) re-runs from scratch
+//!    seeing identical values, so the final MeasurementSet is
 //!    bit-identical to a cold full run while only the budget delta reaches
 //!    the executor. The extended result is stored, upgrading the entry.
 //!  - **Miss** — the campaign runs exactly as without a cache, then stores.

@@ -27,50 +27,53 @@ std::size_t effective_shard_count(const CampaignSpec& spec,
     return shard_count == 0 ? spec.shards : shard_count;
 }
 
-/// Measures the variants of `plan` with the spec's executor through the one
-/// generic engine-backed path. Each variant draws from the stream derived
-/// from its *global* index, so a fixed-N shard is identical to the
-/// corresponding slice of the unsharded pipeline, and an adaptive shard's
-/// samples are a deterministic prefix of that slice. Adaptive stopping
-/// clusters the shard's own algorithms (shard-local decisions).
+/// Measures the variants of `plan` with the spec's executor. Each variant
+/// draws from the stream derived from its *global* index, so a fixed-N shard
+/// is identical to the corresponding slice of the unsharded pipeline, and an
+/// adaptive shard's samples are a deterministic prefix of that slice.
+/// Adaptive stopping clusters the shard's own algorithms (shard-local
+/// decisions); a fixed-N shard only measures and never clusters.
 core::MeasurementSet measure_plan(const CampaignSpec& spec,
                                   const ShardPlan& plan) {
-    const workloads::TaskChain chain = spec.chain();
-    const std::vector<workloads::VariantAssignment> all = spec.variants();
-    std::vector<workloads::VariantAssignment> mine;
-    mine.reserve(plan.assignment_indices.size());
-    for (const std::size_t index : plan.assignment_indices) {
-        mine.push_back(all[index]);
+    GlobalSampleSource bundle(spec, plan);
+    if (!spec.adaptive()) {
+        return core::measure_all(bundle.source(), spec.measurements);
     }
-    const core::StreamFactory streams = [&spec, &plan](std::size_t local) {
-        return stats::Rng(core::assignment_stream_seed(
-            spec.measurement_seed, plan.assignment_indices[local]));
-    };
+    const core::AnalysisConfig analysis = spec.analysis_config();
+    const core::MeasurementEngine engine(*analysis.adaptive,
+                                         analysis.comparator,
+                                         analysis.clustering);
+    return std::move(engine.run(bundle.source()).measurements);
+}
 
-    const auto run_source = [&](core::SampleSource& source) {
-        if (!spec.adaptive()) {
-            return core::measure_all(source, spec.measurements);
-        }
-        const core::AnalysisConfig analysis = spec.analysis_config();
-        const core::MeasurementEngine engine(
-            spec.adaptive_config(), analysis.comparator, analysis.clustering);
-        return std::move(engine.run(source).measurements);
-    };
-
-    if (spec.executor == ExecutorKind::Sim) {
-        const sim::AnalyticCostModel model(platform_preset(spec.platform));
-        const sim::SimulatedExecutor executor(model, sim::NoiseModel{});
-        core::SimSampleSource source(executor, chain, std::move(mine), streams);
-        return run_source(source);
+/// The manifest fields every shard of `spec`'s plan carries: the plan hash,
+/// the shard reference, this host, the backends, the provenance record and
+/// (adaptive plans) the stopping knobs. The provenance record is a pure
+/// function of build + host + spec, so attaching it keeps shard files
+/// byte-identical with obs on or off.
+ShardManifest plan_manifest(const CampaignSpec& spec, std::size_t shard_index,
+                            std::size_t shard_count) {
+    ShardManifest m;
+    m.spec_hash = spec.hash();
+    m.shard_index = shard_index;
+    m.shard_count = shard_count;
+    m.campaign = spec.name;
+    m.host = host_name();
+    m.backend = spec.backend;
+    m.variant_backends = spec.variant_backends;
+    for (const obs::ProvenanceEntry& e : obs::provenance()) {
+        m.provenance.emplace_back(e.key, e.value);
     }
-    const sim::EmulatedDevice device{spec.device_threads, 0.0, 0.0};
-    const sim::EmulatedDevice accelerator{spec.accelerator_threads,
-                                          spec.dispatch_delay_us * 1e-6,
-                                          spec.switch_delay_us * 1e-6};
-    const sim::RealExecutor executor(device, accelerator);
-    core::RealSampleSource source(executor, chain, std::move(mine), streams,
-                                  spec.warmup);
-    return run_source(source);
+    if (spec.adaptive()) {
+        m.adaptive_min = spec.adaptive_min;
+        m.adaptive_batch = spec.adaptive_batch;
+        m.adaptive_stability = spec.adaptive_stability;
+        m.adaptive_coordinated = spec.adaptive_coordinated;
+        // Counts stopped by the confidence rule are not counts the
+        // stability rule produced, so the rule is part of the record.
+        m.adaptive_confidence = spec.adaptive_confidence;
+    }
+    return m;
 }
 
 } // namespace
@@ -86,13 +89,6 @@ ShardResult run_shard(const CampaignSpec& spec, std::size_t shard_index,
                     "between rounds — run the campaign through "
                     "run_coordinated_campaign (relperf_cli --coordinated "
                     "--run) instead of per-shard execution");
-    // Fail before measuring anything when this build cannot honor the
-    // plan's backends (validate() deliberately does not check availability:
-    // a collecting host without the backends must still be able to merge).
-    (void)linalg::backend(spec.backend);
-    for (const std::string& name : spec.variant_backends) {
-        (void)linalg::backend(name);
-    }
     const std::size_t count = effective_shard_count(spec, shard_count);
     const Sharder sharder(spec.variants().size(), count);
 
@@ -104,27 +100,7 @@ ShardResult run_shard(const CampaignSpec& spec, std::size_t shard_index,
     obs::metrics().shards_total.inc();
 
     ShardResult result;
-    result.manifest.spec_hash = spec.hash();
-    result.manifest.shard_index = shard_index;
-    result.manifest.shard_count = count;
-    result.manifest.campaign = spec.name;
-    result.manifest.host = host_name();
-    result.manifest.backend = spec.backend;
-    result.manifest.variant_backends = spec.variant_backends;
-    // The provenance record is a pure function of build + host + spec, so
-    // attaching it keeps shard files byte-identical with obs on or off.
-    for (const obs::ProvenanceEntry& e : obs::provenance()) {
-        result.manifest.provenance.emplace_back(e.key, e.value);
-    }
-    if (spec.adaptive()) {
-        result.manifest.adaptive_min = spec.adaptive_min;
-        result.manifest.adaptive_batch = spec.adaptive_batch;
-        result.manifest.adaptive_stability = spec.adaptive_stability;
-        // Always shard-local here (coordinated specs are rejected above),
-        // but the stopping rule still has to be recorded: counts stopped by
-        // the confidence rule are not counts the stability rule produced.
-        result.manifest.adaptive_confidence = spec.adaptive_confidence;
-    }
+    result.manifest = plan_manifest(spec, shard_index, count);
     result.measurements = measure_plan(spec, sharder.plan(shard_index));
     if (spec.adaptive()) {
         result.manifest.samples_per_algorithm.reserve(
@@ -149,21 +125,40 @@ struct GlobalSampleSource::Impl {
     std::optional<core::RealSampleSource> real_source;
 };
 
-GlobalSampleSource::GlobalSampleSource(const CampaignSpec& spec)
+GlobalSampleSource::GlobalSampleSource(const CampaignSpec& spec,
+                                       std::optional<ShardPlan> plan)
     : impl_(std::make_unique<Impl>()) {
     spec.validate();
-    // This object measures, so the plan's backends must exist in this build
-    // (mirrors run_shard's pre-measurement check).
+    // This object measures, so fail before measuring anything when this
+    // build cannot honor the plan's backends (validate() deliberately does
+    // not check availability: a collecting host without the backends must
+    // still be able to merge).
     (void)linalg::backend(spec.backend);
     for (const std::string& name : spec.variant_backends) {
         (void)linalg::backend(name);
     }
     impl_->chain = spec.chain();
-    impl_->variants = spec.variants();
-    const core::StreamFactory streams =
-        [seed = spec.measurement_seed](std::size_t global) {
+    std::vector<workloads::VariantAssignment> all = spec.variants();
+    const std::uint64_t seed = spec.measurement_seed;
+    core::StreamFactory streams;
+    if (plan) {
+        impl_->variants.reserve(plan->assignment_indices.size());
+        for (const std::size_t global : plan->assignment_indices) {
+            RELPERF_REQUIRE(global < all.size(),
+                            "GlobalSampleSource: plan index out of range");
+            impl_->variants.push_back(all[global]);
+        }
+        streams = [seed, globals = std::move(plan->assignment_indices)](
+                      std::size_t local) {
+            return stats::Rng(
+                core::assignment_stream_seed(seed, globals[local]));
+        };
+    } else {
+        impl_->variants = std::move(all);
+        streams = [seed](std::size_t global) {
             return stats::Rng(core::assignment_stream_seed(seed, global));
         };
+    }
     if (spec.executor == ExecutorKind::Sim) {
         impl_->model.emplace(platform_preset(spec.platform));
         impl_->sim_executor.emplace(*impl_->model, sim::NoiseModel{});
@@ -206,8 +201,7 @@ CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
                     "'adaptive_coordination = coordinated' — the key is part "
                     "of the measurement plan and must be recorded");
     const std::size_t count = effective_shard_count(spec, shard_count);
-    const std::vector<workloads::VariantAssignment> variants = spec.variants();
-    const Sharder sharder(variants.size(), count);
+    const Sharder sharder(spec.variants().size(), count);
 
     // The coordinator owns the round loop conceptually, but it does not need
     // to own it mechanically: every variant draws from the stream derived
@@ -218,14 +212,9 @@ CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
     // stop-set IS the engine's frozen set. The observer is where the
     // broadcast becomes observable: one coordination round and K stop-set
     // broadcasts per clustering, recorded for the shard manifests.
-    RELPERF_REQUIRE(source.count() == variants.size(),
+    RELPERF_REQUIRE(source.count() == sharder.assignment_count(),
                     "run_coordinated_campaign: the sample source must "
                     "enumerate the spec's full global variant list");
-    const core::AnalysisConfig analysis_cfg = spec.analysis_config();
-    const core::MeasurementEngine engine(
-        spec.adaptive_config(), analysis_cfg.comparator,
-        analysis_cfg.clustering);
-
     CoordinatedCampaignResult out;
     const core::RoundObserver observer = [&](const core::EngineRound& r) {
         obs::Span round("campaign.coordinate", "campaign");
@@ -239,55 +228,31 @@ CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
         obs::metrics().stopset_broadcast_total.inc(count);
         out.stopset_rounds.push_back(r.stopped_total);
     };
-
-    core::EngineResult engine_result = engine.run(source, observer);
-    out.rounds = engine_result.rounds;
+    out.analysis = core::analyze_source(source, spec.analysis_config(), observer);
+    out.rounds = out.stopset_rounds.size();
 
     // Slice the global result into per-shard files. Manifests carry the
     // coordinated plan and the broadcast history so a later merge_shards can
     // verify every file came from the same coordinator run.
-    const std::string host = host_name();
+    const core::AnalysisResult& global = out.analysis;
     out.shards.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
         obs::metrics().shards_total.inc();
         ShardResult shard;
-        ShardManifest& m = shard.manifest;
-        m.spec_hash = spec.hash();
-        m.shard_index = i;
-        m.shard_count = count;
-        m.campaign = spec.name;
-        m.host = host;
-        m.backend = spec.backend;
-        m.variant_backends = spec.variant_backends;
-        for (const obs::ProvenanceEntry& e : obs::provenance()) {
-            m.provenance.emplace_back(e.key, e.value);
-        }
-        m.adaptive_min = spec.adaptive_min;
-        m.adaptive_batch = spec.adaptive_batch;
-        m.adaptive_stability = spec.adaptive_stability;
-        m.adaptive_coordinated = true;
-        m.adaptive_confidence = spec.adaptive_confidence;
-        m.stopset_rounds = out.stopset_rounds;
+        shard.manifest = plan_manifest(spec, i, count);
+        shard.manifest.stopset_rounds = out.stopset_rounds;
         const ShardPlan plan = sharder.plan(i);
-        m.samples_per_algorithm.reserve(plan.assignment_indices.size());
-        for (const std::size_t global : plan.assignment_indices) {
-            const auto samples = engine_result.measurements.samples(global);
-            shard.measurements.add(engine_result.measurements.name(global),
+        shard.manifest.samples_per_algorithm.reserve(
+            plan.assignment_indices.size());
+        for (const std::size_t index : plan.assignment_indices) {
+            const auto samples = global.measurements.samples(index);
+            shard.measurements.add(global.measurements.name(index),
                                    {samples.begin(), samples.end()});
-            m.samples_per_algorithm.push_back(
-                engine_result.samples_per_alg[global]);
+            shard.manifest.samples_per_algorithm.push_back(
+                global.samples_per_alg[index]);
         }
         out.shards.push_back(std::move(shard));
     }
-
-    // The engine's published clustering is exactly what analyze_measurements
-    // would produce on the final merged measurements, so the analysis bundle
-    // is assembled directly — no re-clustering.
-    out.analysis.total_samples = engine_result.total_samples;
-    out.analysis.fixed_n_samples = engine_result.fixed_n_samples;
-    out.analysis.measurements = std::move(engine_result.measurements);
-    out.analysis.clustering = std::move(engine_result.clustering);
-    out.analysis.samples_per_alg = std::move(engine_result.samples_per_alg);
     return out;
 }
 

@@ -9,11 +9,13 @@
 //! out across worker threads on this machine.
 
 #include "campaign/shard_io.hpp"
+#include "campaign/sharder.hpp"
 #include "campaign/spec.hpp"
 #include "core/pipeline.hpp"
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <vector>
 
 namespace relperf::campaign {
@@ -67,14 +69,20 @@ struct CoordinatedCampaignResult {
     const CampaignSpec& spec, std::size_t shard_count,
     core::SampleSource& source);
 
-/// Owns the spec's executor plus the engine sample source over the *full*
-/// global variant list (streams derived from global indices) — the building
-/// block for callers that drive measurement themselves rather than through
-/// run_shard, such as the result cache's prefix-extension path. The executor
-/// lives as long as the bundle, so the source reference stays valid.
+/// Owns the spec's executor plus the engine sample source over the spec's
+/// variants, each drawing from the stream derived from its *global* index
+/// (core::assignment_stream_seed). By default the source enumerates the
+/// full global variant list; given a ShardPlan it enumerates only that
+/// shard's variants, in plan order. This is the one place a campaign's
+/// executor and source are built: run_shard measures its plan through it,
+/// the coordinator and the result cache's prefix-extension path the full
+/// list. The executor lives as long as the bundle, so the source reference
+/// stays valid. Throws before measuring anything when this build lacks one
+/// of the plan's backends.
 class GlobalSampleSource {
 public:
-    explicit GlobalSampleSource(const CampaignSpec& spec);
+    explicit GlobalSampleSource(const CampaignSpec& spec,
+                                std::optional<ShardPlan> plan = std::nullopt);
     ~GlobalSampleSource();
     GlobalSampleSource(const GlobalSampleSource&) = delete;
     GlobalSampleSource& operator=(const GlobalSampleSource&) = delete;

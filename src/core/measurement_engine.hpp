@@ -18,6 +18,14 @@
 //! campaign's total measurements well below `count * max_n` while preserving
 //! the membership the fixed-N run finds.
 //!
+//! Every round clusters exactly once, from scratch, with
+//! RelativeClusterer::cluster over the measurements so far. The round in
+//! which the last algorithm stops has nothing left to extend, so its
+//! clustering is published as is: a run of R rounds makes R clusterings, and
+//! the result equals analyze_measurements on the final measurements.
+//! core::analyze_source (pipeline.hpp) is the one place that turns an
+//! EngineResult into an AnalysisResult.
+//!
 //! Determinism contract: every algorithm draws from its own persistent RNG
 //! stream (SampleSource keeps the stream open across rounds), so an
 //! algorithm's sample is a deterministic *prefix-extensible* sequence — the
@@ -56,15 +64,6 @@ struct AdaptiveConfig {
     /// One-sided confidence level of the ConfidenceTargetRule's margin CI,
     /// in (0.5, 1). Only read when `rule == StoppingRuleKind::Confidence`.
     double confidence = 0.95;
-    /// Replay comparison outcomes between pairs of already-stopped
-    /// algorithms across rounds instead of re-running the bootstrap (their
-    /// samples can no longer change, so the cached outcome is a draw of the
-    /// same conditional distribution). Cuts the per-round re-clustering cost
-    /// sharply once most algorithms have frozen; the engine's published
-    /// final clustering is re-computed from scratch whenever any outcome was
-    /// replayed, so EngineResult::clustering always equals what
-    /// analyze_measurements would produce on the final measurements.
-    bool reuse_frozen_comparisons = true;
 
     /// True when early stopping can actually happen (max_n > min_n).
     [[nodiscard]] bool enabled() const noexcept { return max_n > min_n; }

@@ -74,29 +74,36 @@ MeasurementSet measure_variants_real(
     return measure_all(source, n);
 }
 
+AnalysisResult analyze_source(SampleSource& source,
+                              const AnalysisConfig& config,
+                              const RoundObserver& on_round) {
+    if (!config.adaptive) {
+        obs::metrics().samples_fixed_n_total.inc(
+            source.count() * config.measurements_per_alg);
+        return analyze_measurements(
+            measure_all(source, config.measurements_per_alg), config);
+    }
+    const MeasurementEngine engine(*config.adaptive, config.comparator,
+                                   config.clustering);
+    EngineResult measured = engine.run(source, on_round);
+    AnalysisResult out;
+    out.measurements = std::move(measured.measurements);
+    out.clustering = std::move(measured.clustering);
+    out.samples_per_alg = std::move(measured.samples_per_alg);
+    out.total_samples = measured.total_samples;
+    out.fixed_n_samples = measured.fixed_n_samples;
+    return out;
+}
+
 AnalysisResult analyze_chain(
     const sim::SimulatedExecutor& executor, const workloads::TaskChain& chain,
     const std::vector<workloads::DeviceAssignment>& assignments,
     const AnalysisConfig& config) {
-    stats::Rng rng(config.measurement_seed);
-    if (config.adaptive) {
-        RELPERF_REQUIRE(!assignments.empty(), "analyze_chain: no assignments");
-        SimSampleSource source(executor, chain, to_variants(assignments),
-                               child_streams(rng));
-        const MeasurementEngine engine(*config.adaptive, config.comparator,
-                                       config.clustering);
-        EngineResult measured = engine.run(source);
-        AnalysisResult out;
-        out.measurements = std::move(measured.measurements);
-        out.clustering = std::move(measured.clustering);
-        out.samples_per_alg = std::move(measured.samples_per_alg);
-        out.total_samples = measured.total_samples;
-        out.fixed_n_samples = measured.fixed_n_samples;
-        return out;
-    }
-    MeasurementSet measurements = measure_assignments(
-        executor, chain, assignments, config.measurements_per_alg, rng);
-    return analyze_measurements(std::move(measurements), config);
+    RELPERF_REQUIRE(!assignments.empty(), "analyze_chain: no assignments");
+    const stats::Rng rng(config.measurement_seed);
+    SimSampleSource source(executor, chain, to_variants(assignments),
+                           child_streams(rng));
+    return analyze_source(source, config);
 }
 
 AnalysisResult analyze_measurements(MeasurementSet measurements,

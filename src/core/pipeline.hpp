@@ -5,12 +5,14 @@
 //! distributions into performance classes. This is the library's main entry
 //! point — the examples and most benches go through it.
 //!
-//! Measurement itself lives in the MeasurementEngine
-//! (core/measurement_engine.hpp): the measure_* functions below are thin
-//! wrappers over the one generic source-backed path, kept for their
-//! historical signatures; their output is bit-identical to the pre-engine
-//! batch loops. AnalysisConfig::adaptive switches analyze_chain to the
-//! incremental early-stopping engine.
+//! Every measure-then-cluster run goes through analyze_source: it measures a
+//! SampleSource under an AnalysisConfig and decides, in that one place,
+//! between fixed N (measure_all, then one clustering) and the adaptive
+//! MeasurementEngine (AnalysisConfig::adaptive). analyze_chain, the
+//! campaign coordinator and the result cache's prefix extension all call
+//! it. The measure_* functions below are thin wrappers over measure_all,
+//! kept for their historical signatures; their output is bit-identical to
+//! the pre-engine batch loops.
 
 #include "core/bootstrap_comparator.hpp"
 #include "core/clustering.hpp"
@@ -101,7 +103,18 @@ struct AnalysisResult {
     std::size_t fixed_n_samples = 0;
 };
 
-/// One-call pipeline over a simulated platform.
+/// The one measure-then-cluster path: measures every algorithm of `source`
+/// under `config` and clusters the result. With config.adaptive set the
+/// MeasurementEngine runs its rounds (reporting each to `on_round`) and its
+/// published clustering is taken as is; otherwise every algorithm gets
+/// config.measurements_per_alg samples and is clustered once (`on_round` is
+/// never called). fixed_n_samples is the plan's true cap either way.
+[[nodiscard]] AnalysisResult analyze_source(SampleSource& source,
+                                            const AnalysisConfig& config,
+                                            const RoundObserver& on_round = {});
+
+/// One-call pipeline over a simulated platform: analyze_source over the
+/// assignments' executor-backed source.
 [[nodiscard]] AnalysisResult analyze_chain(
     const sim::SimulatedExecutor& executor, const workloads::TaskChain& chain,
     const std::vector<workloads::DeviceAssignment>& assignments,

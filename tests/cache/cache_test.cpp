@@ -21,6 +21,8 @@
 #include "obs/obs.hpp"
 #include "support/error.hpp"
 
+#include "temp_path.hpp"
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -113,8 +115,7 @@ protected:
         obs::set_metrics_enabled(false);
         obs::set_tracing_enabled(false);
         obs::registry().reset_values();
-        dir_ = testing::TempDir() + "relperf_cache_" +
-               ::testing::UnitTest::GetInstance()->current_test_info()->name();
+        dir_ = relperf::test::temp_path("cache");
         fs::remove_all(dir_);
     }
     void TearDown() override {
@@ -378,7 +379,7 @@ TEST_F(CacheTest, UnusableDirectoryDegradesToPassThrough) {
     // The configured path is an existing regular file, so neither the
     // directory scan nor the store can ever succeed — the campaign must
     // still run to completion with a plain miss, twice.
-    const std::string blocker = testing::TempDir() + "relperf_cache_blocker";
+    const std::string blocker = relperf::test::temp_path("cache_blocker");
     write_file(blocker, "in the way\n");
     cache::ResultCache result_cache(cache::CacheConfig{blocker, 0, 0});
 

@@ -14,6 +14,8 @@
 #include "sim/analytic.hpp"
 #include "support/error.hpp"
 
+#include "temp_path.hpp"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -136,8 +138,8 @@ TEST(Campaign, CsvRoundTripPreservesTheExactClustering) {
     std::vector<campaign::ShardResult> loaded;
     for (std::size_t i = 0; i < 3; ++i) {
         const campaign::ShardResult shard = campaign::run_shard(spec, i, 3);
-        paths.push_back(testing::TempDir() +
-                        "relperf_campaign_shard_" + std::to_string(i) + ".csv");
+        paths.push_back(relperf::test::temp_path(
+            "campaign_shard_" + std::to_string(i) + ".csv"));
         campaign::write_shard_csv(shard, paths.back());
         loaded.push_back(campaign::read_shard_csv(paths.back()));
     }
@@ -511,8 +513,9 @@ TEST(CampaignCoordinated, ShardManifestsCarryThePlanAndMergeRoundTrips) {
     std::vector<campaign::ShardResult> loaded;
     for (const campaign::ShardResult& shard : coord.shards) {
         const std::string path =
-            testing::TempDir() + "relperf_coord_shard_" +
-            std::to_string(shard.manifest.shard_index) + ".csv";
+            relperf::test::temp_path("coord_shard_" +
+                                     std::to_string(shard.manifest.shard_index) +
+                                     ".csv");
         campaign::write_shard_csv(shard, path);
         loaded.push_back(campaign::read_shard_csv(path));
         std::remove(path.c_str());

@@ -3,6 +3,8 @@
 #include "core/io.hpp"
 #include "support/error.hpp"
 
+#include "temp_path.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -27,7 +29,7 @@ campaign::ShardResult sample_shard() {
 }
 
 std::string write_temp(const std::string& content, const std::string& name) {
-    const std::string path = testing::TempDir() + name;
+    const std::string path = relperf::test::temp_path(name);
     std::ofstream out(path);
     out << content;
     return path;
@@ -37,7 +39,7 @@ std::string write_temp(const std::string& content, const std::string& name) {
 
 TEST(ShardIo, RoundTripsManifestAndMeasurementsExactly) {
     const campaign::ShardResult original = sample_shard();
-    const std::string path = testing::TempDir() + "relperf_shard_rt.csv";
+    const std::string path = relperf::test::temp_path("shard_rt.csv");
     campaign::write_shard_csv(original, path);
     const campaign::ShardResult loaded = campaign::read_shard_csv(path);
     std::remove(path.c_str());
@@ -64,7 +66,7 @@ TEST(ShardIo, RoundTripsManifestAndMeasurementsExactly) {
 
 TEST(ShardIo, ShardFilesAreReadableAsPlainMeasurementCsv) {
     const campaign::ShardResult original = sample_shard();
-    const std::string path = testing::TempDir() + "relperf_shard_plain.csv";
+    const std::string path = relperf::test::temp_path("shard_plain.csv");
     campaign::write_shard_csv(original, path);
     const core::MeasurementSet set = core::read_measurements_csv(path);
     std::remove(path.c_str());
@@ -122,15 +124,15 @@ TEST(ShardIo, ExpandsCommaListsAndSortsThem) {
 }
 
 TEST(ShardIo, ExpandsGlobPatterns) {
-    const std::string dir = testing::TempDir();
-    const std::string a = write_temp("x", "relperf_glob_s0.csv");
-    const std::string b = write_temp("x", "relperf_glob_s1.csv");
+    const std::string a = write_temp("x", "glob_s0.csv");
+    const std::string b = write_temp("x", "glob_s1.csv");
     const std::vector<std::string> paths =
-        campaign::expand_shard_pattern(dir + "relperf_glob_s*.csv");
+        campaign::expand_shard_pattern(relperf::test::temp_path("glob_s*.csv"));
     EXPECT_EQ(paths.size(), 2u);
     EXPECT_NE(paths[0], paths[1]);
     EXPECT_THROW(
-        (void)campaign::expand_shard_pattern(dir + "relperf_glob_none*.csv"),
+        (void)campaign::expand_shard_pattern(
+            relperf::test::temp_path("glob_none*.csv")),
         relperf::Error);
     std::remove(a.c_str());
     std::remove(b.c_str());
@@ -169,7 +171,7 @@ campaign::ShardResult adaptive_shard() {
 
 TEST(ShardIoAdaptive, ManifestRoundTripsAndFixedFilesStayClean) {
     const campaign::ShardResult original = adaptive_shard();
-    const std::string path = testing::TempDir() + "relperf_shard_adaptive.csv";
+    const std::string path = relperf::test::temp_path("shard_adaptive.csv");
     campaign::write_shard_csv(original, path);
     const campaign::ShardResult loaded = campaign::read_shard_csv(path);
     std::remove(path.c_str());
@@ -181,7 +183,7 @@ TEST(ShardIoAdaptive, ManifestRoundTripsAndFixedFilesStayClean) {
 
     // A fixed-N shard keeps the exact pre-adaptive file form: no adaptive
     // manifest lines at all, and the reader defaults to fixed-N.
-    const std::string fixed_path = testing::TempDir() + "relperf_shard_fixed.csv";
+    const std::string fixed_path = relperf::test::temp_path("shard_fixed.csv");
     campaign::write_shard_csv(sample_shard(), fixed_path);
     std::ifstream in(fixed_path);
     std::string content((std::istreambuf_iterator<char>(in)),
@@ -198,7 +200,7 @@ TEST(ShardIoAdaptive, DeclaredCountsAreCheckedAgainstTheRows) {
     // Truncation/tampering canary: the manifest's per-algorithm counts must
     // match the measurement rows that follow.
     const campaign::ShardResult original = adaptive_shard();
-    const std::string path = testing::TempDir() + "relperf_shard_tamper.csv";
+    const std::string path = relperf::test::temp_path("shard_tamper.csv");
     campaign::write_shard_csv(original, path);
     std::ifstream in(path);
     std::string content((std::istreambuf_iterator<char>(in)),
@@ -238,7 +240,7 @@ TEST(ShardIoAdaptive, WriterRejectsDivergentDeclaredCounts) {
     // the read-side canary then blames on file corruption.
     campaign::ShardResult shard = adaptive_shard();
     shard.manifest.samples_per_algorithm = {3, 4}; // algAA really has 3
-    const std::string path = testing::TempDir() + "relperf_divergent.csv";
+    const std::string path = relperf::test::temp_path("divergent.csv");
     EXPECT_THROW(campaign::write_shard_csv(shard, path), relperf::Error);
     shard.manifest.samples_per_algorithm = {3};
     EXPECT_THROW(campaign::write_shard_csv(shard, path), relperf::Error);
@@ -251,7 +253,7 @@ TEST(ShardIoCoordinated, ManifestRoundTripsAndPlainAdaptiveFilesStayClean) {
     original.manifest.adaptive_confidence = 0.95;
     original.manifest.stopset_rounds = {0, 1, 2};
     const std::string path =
-        testing::TempDir() + "relperf_shard_coordinated.csv";
+        relperf::test::temp_path("shard_coordinated.csv");
     campaign::write_shard_csv(original, path);
     const campaign::ShardResult loaded = campaign::read_shard_csv(path);
     std::remove(path.c_str());
@@ -263,7 +265,7 @@ TEST(ShardIoCoordinated, ManifestRoundTripsAndPlainAdaptiveFilesStayClean) {
     // A shard-local adaptive shard keeps the exact pre-coordination file
     // form, and the reader defaults all three new fields off.
     const std::string plain_path =
-        testing::TempDir() + "relperf_shard_plain_adaptive.csv";
+        relperf::test::temp_path("shard_plain_adaptive.csv");
     campaign::write_shard_csv(adaptive_shard(), plain_path);
     std::ifstream in(plain_path);
     const std::string content((std::istreambuf_iterator<char>(in)),
@@ -281,7 +283,7 @@ TEST(ShardIoCoordinated, ManifestRoundTripsAndPlainAdaptiveFilesStayClean) {
 TEST(ShardIoCoordinated, BadCoordinationValueNamesTheLine) {
     campaign::ShardResult shard = adaptive_shard();
     shard.manifest.adaptive_coordinated = true;
-    const std::string path = testing::TempDir() + "relperf_shard_badcoord.csv";
+    const std::string path = relperf::test::temp_path("shard_badcoord.csv");
     campaign::write_shard_csv(shard, path);
     std::ifstream in(path);
     std::string content((std::istreambuf_iterator<char>(in)),

@@ -2,6 +2,8 @@
 
 #include "support/error.hpp"
 
+#include "temp_path.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -51,7 +53,7 @@ TEST(CampaignSpec, TextRoundTripPreservesEveryField) {
 }
 
 TEST(CampaignSpec, FileRoundTrip) {
-    const std::string path = testing::TempDir() + "relperf_campaign.spec";
+    const std::string path = relperf::test::temp_path("campaign.spec");
     const campaign::CampaignSpec original = sample_spec();
     original.save(path);
     const campaign::CampaignSpec loaded = campaign::CampaignSpec::load(path);

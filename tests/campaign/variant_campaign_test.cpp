@@ -10,6 +10,8 @@
 #include "sim/executor.hpp"
 #include "support/error.hpp"
 
+#include "temp_path.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -38,7 +40,7 @@ campaign::CampaignSpec variant_spec() {
 struct TempFile {
     std::string path;
     explicit TempFile(const std::string& name)
-        : path(std::string(::testing::TempDir()) + name) {}
+        : path(relperf::test::temp_path(name)) {}
     ~TempFile() { std::remove(path.c_str()); }
 };
 

@@ -3,6 +3,8 @@
 #include "core/report.hpp"
 #include "support/error.hpp"
 
+#include "temp_path.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,7 +16,7 @@ namespace {
 
 /// Writes `content` to a fresh temp file and returns its path.
 std::string write_temp(const std::string& name, const std::string& content) {
-    const std::string path = testing::TempDir() + name;
+    const std::string path = relperf::test::temp_path(name);
     std::ofstream out(path, std::ios::binary);
     out << content;
     return path;
@@ -43,7 +45,7 @@ TEST(MeasurementsCsv, RoundTripsThroughWriter) {
     original.add("algDDA", {0.0406, 0.0411, 0.0399});
     original.add("algDDD", {0.0442, 0.0438});
 
-    const std::string path = testing::TempDir() + "relperf_io_roundtrip.csv";
+    const std::string path = relperf::test::temp_path("io_roundtrip.csv");
     core::write_measurements_csv(original, path);
     const core::MeasurementSet loaded = core::read_measurements_csv(path);
     std::remove(path.c_str());
@@ -194,7 +196,7 @@ TEST(MeasurementsCsv, HeaderOnlyFilesAreAnError) {
 TEST(MeasurementsCsv, WriterUsesRoundTripPrecision) {
     core::MeasurementSet original;
     original.add("alg", {1.0 / 3.0, 0.1, 1e-9 + 1e-17});
-    const std::string path = testing::TempDir() + "relperf_io_exact.csv";
+    const std::string path = relperf::test::temp_path("io_exact.csv");
     core::write_measurements_csv(original, path);
     const core::MeasurementSet loaded = core::read_measurements_csv(path);
     std::remove(path.c_str());

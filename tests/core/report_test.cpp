@@ -4,6 +4,8 @@
 #include "core/clustering.hpp"
 #include "support/error.hpp"
 
+#include "temp_path.hpp"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -126,7 +128,7 @@ TEST(RenderDistributions, EmptySetThrows) {
 
 TEST(CsvExports, MeasurementsRoundTrip) {
     Fixture f;
-    const std::string path = testing::TempDir() + "relperf_report_meas.csv";
+    const std::string path = relperf::test::temp_path("report_meas.csv");
     core::write_measurements_csv(f.set, path);
     const std::string content = slurp(path);
     EXPECT_NE(content.find("algorithm,measurement_index,seconds"),
@@ -139,7 +141,7 @@ TEST(CsvExports, MeasurementsRoundTrip) {
 
 TEST(CsvExports, ClusteringContainsFinalColumns) {
     Fixture f;
-    const std::string path = testing::TempDir() + "relperf_report_clus.csv";
+    const std::string path = relperf::test::temp_path("report_clus.csv");
     core::write_clustering_csv(f.clustering, f.set, path);
     const std::string content = slurp(path);
     EXPECT_NE(content.find("cluster,algorithm,relative_score,final_cluster,final_score"),

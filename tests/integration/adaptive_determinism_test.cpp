@@ -13,6 +13,8 @@
 #include "sim/profile.hpp"
 #include "support/error.hpp"
 
+#include "temp_path.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -137,8 +139,8 @@ TEST(AdaptiveOffInvariant, ShardFileRoundTripIsBitIdentical) {
     std::vector<campaign::ShardResult> reloaded;
     for (std::size_t i = 0; i < 3; ++i) {
         in_memory.push_back(campaign::run_shard(spec, i, 3));
-        const std::string path = testing::TempDir() + "adaptive_off_shard_" +
-                                 std::to_string(i) + ".csv";
+        const std::string path = relperf::test::temp_path(
+            "shard_" + std::to_string(i) + ".csv");
         campaign::write_shard_csv(in_memory.back(), path);
         reloaded.push_back(campaign::read_shard_csv(path));
         std::remove(path.c_str());

@@ -13,6 +13,8 @@
 #include "obs/trace.hpp"
 #include "sim/analytic.hpp"
 
+#include "temp_path.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -73,20 +75,19 @@ RunFiles run_everything(const campaign::CampaignSpec& spec, bool instrumented,
             [&ticks](const obs::Progress&) { ++ticks; });
     }
 
-    const std::string dir = testing::TempDir();
     RunFiles files;
 
     const core::AnalysisResult result = campaign::run_campaign(spec, 2, 1);
     const std::string measurements_path =
-        dir + "obs_det_" + tag + "_measurements.csv";
+        relperf::test::temp_path(tag + "_measurements.csv");
     const std::string clustering_path =
-        dir + "obs_det_" + tag + "_clusters.csv";
+        relperf::test::temp_path(tag + "_clusters.csv");
     core::write_measurements_csv(result.measurements, measurements_path);
     core::write_clustering_csv(result.clustering, result.measurements,
                                clustering_path);
 
     const campaign::ShardResult shard = campaign::run_shard(spec, 0, 2);
-    const std::string shard_path = dir + "obs_det_" + tag + "_shard.csv";
+    const std::string shard_path = relperf::test::temp_path(tag + "_shard.csv");
     campaign::write_shard_csv(shard, shard_path);
 
     if (instrumented) {
@@ -169,7 +170,6 @@ TEST_F(DeterminismTest, AnalyzeChainIsByteIdenticalWithObsOn) {
     const sim::AnalyticCostModel model(
         campaign::platform_preset(spec.platform));
     const sim::SimulatedExecutor executor(model, sim::NoiseModel{});
-    const std::string dir = testing::TempDir();
 
     std::string bytes[2];
     for (const bool instrumented : {false, true}) {
@@ -178,9 +178,8 @@ TEST_F(DeterminismTest, AnalyzeChainIsByteIdenticalWithObsOn) {
         const core::AnalysisResult result =
             core::analyze_chain(executor, spec.chain(), spec.assignments(),
                                 spec.analysis_config());
-        const std::string path =
-            dir + (instrumented ? "obs_det_chain_on.csv"
-                                : "obs_det_chain_off.csv");
+        const std::string path = relperf::test::temp_path(
+            instrumented ? "chain_on.csv" : "chain_off.csv");
         core::write_measurements_csv(result.measurements, path);
         obs::set_tracing_enabled(false);
         obs::set_metrics_enabled(false);
@@ -202,7 +201,6 @@ TEST_F(DeterminismTest, CoordinatedCampaignIsByteIdenticalWithObsOn) {
     spec.adaptive_coordinated = true;
     spec.adaptive_confidence = 0.95;
 
-    const std::string dir = testing::TempDir();
     RunFiles files[2];
     for (const bool instrumented : {false, true}) {
         obs::clear_trace();
@@ -215,10 +213,11 @@ TEST_F(DeterminismTest, CoordinatedCampaignIsByteIdenticalWithObsOn) {
         const std::string tag =
             instrumented ? "coordinated_on" : "coordinated_off";
         const std::string measurements_path =
-            dir + "obs_det_" + tag + "_measurements.csv";
-        const std::string clustering_path = dir + "obs_det_" + tag +
-                                            "_clusters.csv";
-        const std::string shard_path = dir + "obs_det_" + tag + "_shard.csv";
+            relperf::test::temp_path(tag + "_measurements.csv");
+        const std::string clustering_path =
+            relperf::test::temp_path(tag + "_clusters.csv");
+        const std::string shard_path =
+            relperf::test::temp_path(tag + "_shard.csv");
         core::write_measurements_csv(coord.analysis.measurements,
                                      measurements_path);
         core::write_clustering_csv(coord.analysis.clustering,

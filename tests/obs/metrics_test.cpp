@@ -4,6 +4,7 @@
 //! source's exact sample counts.
 #include "obs/metrics.hpp"
 
+#include "campaign/runner.hpp"
 #include "core/measurement_engine.hpp"
 #include "obs/obs.hpp"
 #include "obs/provenance.hpp"
@@ -16,6 +17,7 @@
 #include <vector>
 
 namespace obs = relperf::obs;
+namespace campaign = relperf::campaign;
 namespace core = relperf::core;
 
 namespace {
@@ -204,4 +206,25 @@ TEST_F(MetricsTest, EngineCountersMatchScriptedSourceExactly) {
     EXPECT_EQ(m.samples_fixed_n_total.value(), 0u)
         << "measure_all reports actual cost only; the fixed-N plan counter "
            "belongs to the callers that know the plan";
+}
+
+// The engine clusters exactly once per round: the last round's clustering is
+// published as is, never recomputed. Pinned on the CI coordinated plan
+// (relperf_cli --campaign-init defaults, --adaptive --min-n 10 --coordinated
+// --confidence 0.95 --run --shards 4), which stops after 3 rounds.
+TEST_F(MetricsTest, CoordinatedCiPlanClustersOncePerRound) {
+    const obs::Metrics& m = obs::metrics();
+    obs::set_metrics_enabled(true);
+
+    campaign::CampaignSpec spec;
+    spec.adaptive_min = 10;
+    spec.adaptive_coordinated = true;
+    spec.adaptive_confidence = 0.95;
+    const campaign::CoordinatedCampaignResult run =
+        campaign::run_coordinated_campaign(spec, 4);
+
+    EXPECT_EQ(run.rounds, 3u);
+    EXPECT_EQ(run.analysis.total_samples, 135u);
+    EXPECT_EQ(m.adaptive_rounds.value(), run.rounds);
+    EXPECT_EQ(m.clusterings_total.value(), run.rounds);
 }

@@ -6,6 +6,8 @@
 #include "campaign/campaign.hpp"
 #include "obs/obs.hpp"
 
+#include "temp_path.hpp"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -100,7 +102,7 @@ TEST_F(ProvenanceTest, ShardManifestRoundTripsTheRecord) {
         EXPECT_EQ(shard.manifest.provenance[i].second, record[i].value) << i;
     }
 
-    const std::string path = testing::TempDir() + "obs_prov_shard.csv";
+    const std::string path = relperf::test::temp_path("shard.csv");
     campaign::write_shard_csv(shard, path);
     const campaign::ShardResult back = campaign::read_shard_csv(path);
     EXPECT_EQ(back.manifest.provenance, shard.manifest.provenance);

@@ -3,6 +3,8 @@
 #include "support/error.hpp"
 #include "support/str.hpp"
 
+#include "temp_path.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -23,7 +25,7 @@ std::string slurp(const std::string& path) {
 
 class TempFile {
 public:
-    TempFile() : path_(testing::TempDir() + "relperf_csv_test.csv") {}
+    TempFile() : path_(relperf::test::temp_path("csv_test.csv")) {}
     ~TempFile() { std::remove(path_.c_str()); }
     [[nodiscard]] const std::string& path() const { return path_; }
 
