@@ -9,52 +9,8 @@
 
 namespace relperf::cache {
 
-namespace {
-
-/// Restores the plan's true fixed-N cost (analyze_measurements cannot know
-/// the cap of an externally measured set).
-void restore_fixed_n(core::AnalysisResult& analysis,
-                     const campaign::CampaignSpec& spec) {
-    analysis.fixed_n_samples =
-        analysis.measurements.size() * spec.measurements;
-}
-
-/// The coordinator's run with its broadcast history, before any cache
-/// bookkeeping.
-CachedRunResult from_coordinated(campaign::CoordinatedCampaignResult run) {
-    CachedRunResult out;
-    out.analysis = std::move(run.analysis);
-    out.stopset_rounds = std::move(run.stopset_rounds);
-    out.rounds = run.rounds;
-    return out;
-}
-
-/// An analysis that carries no coordinator history.
-CachedRunResult from_analysis(core::AnalysisResult analysis) {
-    CachedRunResult out;
-    out.analysis = std::move(analysis);
-    return out;
-}
-
-/// A cold run of the uncached path, capturing the coordinated metadata.
-CachedRunResult run_uncached(const campaign::CampaignSpec& spec,
-                             std::size_t shard_count, std::size_t workers) {
-    if (spec.adaptive_coordinated) {
-        return from_coordinated(
-            campaign::run_coordinated_campaign(spec, shard_count));
-    }
-    return from_analysis(campaign::run_campaign(spec, shard_count, workers));
-}
-
-} // namespace
-
 bool cacheable(const campaign::CampaignSpec& spec, std::size_t shard_count) {
-    if (!spec.adaptive() || spec.adaptive_coordinated) return true;
-    // Shard-local adaptive stopping decides per shard, so the merged counts
-    // depend on K — which the plan hash deliberately excludes. Only the
-    // single-shard run (identical to the unsharded engine) is addressable.
-    const std::size_t k = shard_count == 0 ? spec.shards : shard_count;
-    return k == 1;
+    return !spec.stops_depend_on_k(shard_count);
 }
 
 CachedRunResult run_campaign_cached(const campaign::CampaignSpec& spec,
@@ -62,25 +18,28 @@ CachedRunResult run_campaign_cached(const campaign::CampaignSpec& spec,
                                     std::size_t shard_count,
                                     std::size_t workers) {
     spec.validate();
-    if (!cache.config().enabled()) {
-        return run_uncached(spec, shard_count, workers);
-    }
     if (!cacheable(spec, shard_count)) {
         // Not addressable by the plan hash: neither served nor stored.
-        obs::metrics().cache_misses_total.inc();
-        CachedRunResult out = run_uncached(spec, shard_count, workers);
-        out.bypassed = true;
+        CachedRunResult out;
+        out.analysis = campaign::run_campaign(spec, shard_count, workers);
+        if (cache.config().enabled()) {
+            obs::metrics().cache_misses_total.inc();
+            out.bypassed = true;
+        }
         return out;
     }
 
-    CacheLookup lookup = cache.lookup(spec);
+    CacheLookup lookup;
+    if (cache.config().enabled()) lookup = cache.lookup(spec);
     if (lookup.kind == HitKind::Exact) {
         // Re-cluster the cached samples under the spec's analysis knobs —
         // byte-identical to the original analysis, zero executor draws.
-        CachedRunResult out = from_analysis(core::analyze_measurements(
-            std::move(lookup.merged), spec.analysis_config()));
+        CachedRunResult out;
+        out.analysis = core::analyze_measurements(std::move(lookup.merged),
+                                                  spec.analysis_config());
+        out.analysis.fixed_n_samples =
+            out.analysis.measurements.size() * spec.measurements;
         out.cache = HitKind::Exact;
-        restore_fixed_n(out.analysis, spec);
         out.samples_from_cache = out.analysis.total_samples;
         obs::metrics().cache_extension_samples_saved_total.inc(
             out.samples_from_cache);
@@ -89,29 +48,21 @@ CachedRunResult run_campaign_cached(const campaign::CampaignSpec& spec,
         return out;
     }
 
-    if (lookup.kind == HitKind::Prefix) {
-        // Re-run the ordinary measurement path with the cached samples
-        // replayed as each algorithm's stream prefix: identical values in
-        // identical order make every decision identical to a cold run, and
-        // only draws beyond the prefix reach the executor. cacheable()
-        // admitted the plan, so a shard-local adaptive one runs with K == 1:
-        // the one engine over the full variant list.
-        campaign::GlobalSampleSource bundle(spec);
-        CachedSampleSource replay(bundle.source(), lookup.merged);
-        CachedRunResult out =
-            spec.adaptive_coordinated
-                ? from_coordinated(campaign::run_coordinated_campaign(
-                      spec, shard_count, replay))
-                : from_analysis(
-                      core::analyze_source(replay, spec.analysis_config()));
-        out.cache = HitKind::Prefix;
-        out.samples_from_cache = replay.served();
-        cache.store(spec, out.analysis.measurements, out.stopset_rounds);
-        return out;
-    }
-
-    // Miss: measure cold, publish the result for the next run.
-    CachedRunResult out = run_uncached(spec, shard_count, workers);
+    // Miss, prefix extension and disabled cache make the same call: the one
+    // engine over the spec's source, with whatever the entry holds replayed
+    // as each algorithm's stream prefix (nothing on a miss). Identical
+    // values in identical order make every decision identical to a cold
+    // run, and only draws beyond the prefix reach the executor.
+    campaign::GlobalSampleSource bundle(spec);
+    CachedSampleSource replay(bundle.source(), lookup.merged);
+    campaign::CoordinatedCampaignResult run =
+        campaign::measure_campaign(spec, shard_count, replay);
+    CachedRunResult out;
+    out.analysis = std::move(run.analysis);
+    out.stopset_rounds = std::move(run.stopset_rounds);
+    out.rounds = run.rounds;
+    out.cache = lookup.kind;
+    out.samples_from_cache = replay.served();
     cache.store(spec, out.analysis.measurements, out.stopset_rounds);
     return out;
 }

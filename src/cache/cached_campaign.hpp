@@ -1,30 +1,28 @@
 #pragma once
 //! \file cached_campaign.hpp
-//! The cache-aware campaign entry point: consult the ResultCache before any
-//! measurement, serve what it holds, measure only what it doesn't, publish
-//! the result back.
+//! The cache-aware campaign entry point: a SampleSource decorator plus a
+//! store around the one-host measurement path (campaign::measure_campaign).
 //!
-//! Three outcomes (see result_cache.hpp for the lookup tiers):
+//! Outcomes (see result_cache.hpp for the lookup tiers):
 //!
 //!  - **Exact hit** — the entry's samples are re-clustered under the spec's
 //!    analysis knobs and returned with zero executor draws
 //!    (relperf_samples_total stays 0: only the executor-backed leaf sources
 //!    count drawn samples).
-//!  - **Prefix extension** — the entry's samples are replayed as the stream
-//!    prefix through a CachedSampleSource over the spec's real source
-//!    (cached_source.hpp); the ordinary measurement path (core::analyze_source,
-//!    through the coordinator for coordinated plans) re-runs from scratch
-//!    seeing identical values, so the final MeasurementSet is
-//!    bit-identical to a cold full run while only the budget delta reaches
-//!    the executor. The extended result is stored, upgrading the entry.
-//!  - **Miss** — the campaign runs exactly as without a cache, then stores.
+//!  - **Prefix extension**, **miss** and **disabled cache** make the same
+//!    call: measure_campaign over a CachedSampleSource
+//!    (cached_source.hpp) wrapping the spec's source, which replays the
+//!    entry's samples as each algorithm's stream prefix (nothing on a miss).
+//!    The run sees the values a cold run would, so the result is
+//!    bit-identical to one while only draws beyond the prefix reach the
+//!    executor. The result is then stored (a no-op when the cache is
+//!    disabled), creating or upgrading the entry.
 //!
-//! Cacheability: a shard-local adaptive plan run with K > 1 shards produces
-//! per-algorithm counts that depend on K, which the plan hash deliberately
-//! excludes — such runs bypass the cache entirely (neither served nor
-//! stored, counted as a miss). Fixed-N plans (any K), single-shard adaptive
-//! plans and coordinated adaptive plans (K-invariant counts by
-//! construction) are all cacheable.
+//! Cacheability: a plan whose stop decisions depend on the shard count
+//! (CampaignSpec::stops_depend_on_k: shard-local adaptive with K > 1)
+//! yields counts the plan hash cannot address, so such runs go straight
+//! through campaign::run_campaign's per-shard path (neither served nor
+//! stored, counted as a miss). Every other plan is cacheable.
 
 #include "cache/result_cache.hpp"
 #include "campaign/spec.hpp"
@@ -52,13 +50,14 @@ struct CachedRunResult {
 };
 
 /// True when `spec` run with `shard_count` shards (0 = spec.shards) yields a
-/// K-invariant result the cache may serve and store.
+/// K-invariant result the cache may serve and store:
+/// !spec.stops_depend_on_k(shard_count).
 [[nodiscard]] bool cacheable(const campaign::CampaignSpec& spec,
                              std::size_t shard_count);
 
 /// campaign::run_campaign with the cache consulted first. A disabled cache
-/// (empty dir) or an uncacheable plan degrades to a plain run. `workers`
-/// only affects the miss path of non-coordinated plans (as in run_campaign).
+/// (empty dir) measures exactly as a miss does, without storing. `workers`
+/// only affects uncacheable plans, the ones run_campaign runs per shard.
 [[nodiscard]] CachedRunResult run_campaign_cached(
     const campaign::CampaignSpec& spec, ResultCache& cache,
     std::size_t shard_count = 0, std::size_t workers = 1);

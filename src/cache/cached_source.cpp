@@ -14,7 +14,7 @@ CachedSampleSource::CachedSampleSource(core::SampleSource& inner,
       cached_(cached),
       consumed_(inner.count(), 0),
       inner_skipped_(inner.count(), 0) {
-    RELPERF_REQUIRE(cached_.size() == inner_.count(),
+    RELPERF_REQUIRE(cached_.empty() || cached_.size() == inner_.count(),
                     "CachedSampleSource: cached entry enumerates " +
                         std::to_string(cached_.size()) +
                         " algorithms, the source " +
@@ -34,9 +34,14 @@ std::string CachedSampleSource::name(std::size_t index) const {
     return inner_.name(index);
 }
 
+std::span<const double> CachedSampleSource::prefix(std::size_t index) const {
+    if (cached_.empty()) return {};
+    return cached_.samples(index);
+}
+
 void CachedSampleSource::sync_inner(std::size_t index) {
-    const std::size_t prefix = cached_.samples(index).size();
-    const std::size_t cached_consumed = std::min(consumed_[index], prefix);
+    const std::size_t cached_consumed =
+        std::min(consumed_[index], prefix(index).size());
     if (inner_skipped_[index] < cached_consumed) {
         inner_.skip(index, cached_consumed - inner_skipped_[index]);
         inner_skipped_[index] = cached_consumed;
@@ -47,15 +52,15 @@ std::vector<double> CachedSampleSource::draw(std::size_t index,
                                              std::size_t n) {
     std::vector<double> out;
     out.reserve(n);
-    const std::span<const double> prefix = cached_.samples(index);
+    const std::span<const double> cached = prefix(index);
     std::size_t& pos = consumed_[index];
     // Serve as much as possible from the cached prefix — the samples the
     // original run already paid for.
     const std::size_t from_cache =
-        pos < prefix.size() ? std::min(n, prefix.size() - pos) : 0;
+        pos < cached.size() ? std::min(n, cached.size() - pos) : 0;
     if (from_cache > 0) {
-        out.insert(out.end(), prefix.begin() + static_cast<std::ptrdiff_t>(pos),
-                   prefix.begin() + static_cast<std::ptrdiff_t>(pos + from_cache));
+        out.insert(out.end(), cached.begin() + static_cast<std::ptrdiff_t>(pos),
+                   cached.begin() + static_cast<std::ptrdiff_t>(pos + from_cache));
         pos += from_cache;
         served_ += from_cache;
         obs::metrics().cache_extension_samples_saved_total.inc(from_cache);
@@ -73,10 +78,10 @@ std::vector<double> CachedSampleSource::draw(std::size_t index,
 }
 
 void CachedSampleSource::skip(std::size_t index, std::size_t n) {
-    const std::size_t prefix = cached_.samples(index).size();
+    const std::size_t cached = prefix(index).size();
     std::size_t& pos = consumed_[index];
     const std::size_t in_prefix =
-        pos < prefix ? std::min(n, prefix - pos) : 0;
+        pos < cached ? std::min(n, cached - pos) : 0;
     // Skipping within the prefix is free: the inner stream is fast-forwarded
     // lazily if a later draw ever goes beyond it.
     pos += in_prefix;

@@ -24,6 +24,7 @@
 #include "core/measurement_engine.hpp"
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace relperf::cache {
@@ -31,7 +32,8 @@ namespace relperf::cache {
 /// Replays `cached`'s samples as the per-algorithm stream prefix of `inner`.
 /// `cached` must enumerate exactly `inner`'s algorithms (same order, same
 /// names) — the cache guarantees this by validating entries against the
-/// query spec before handing them here.
+/// query spec before handing them here — or be empty: a cache miss replays
+/// nothing and every draw reaches `inner`.
 class CachedSampleSource final : public core::SampleSource {
 public:
     CachedSampleSource(core::SampleSource& inner,
@@ -51,6 +53,8 @@ private:
     /// wrapper has consumed for `index` (lazy: runs at most once per draw
     /// that goes beyond the prefix, and only for the not-yet-skipped part).
     void sync_inner(std::size_t index);
+    /// The cached prefix of `index` (empty when nothing is cached).
+    [[nodiscard]] std::span<const double> prefix(std::size_t index) const;
 
     core::SampleSource& inner_;
     const core::MeasurementSet& cached_;

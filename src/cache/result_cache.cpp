@@ -1,6 +1,7 @@
 #include "cache/result_cache.hpp"
 
 #include "campaign/merge.hpp"
+#include "campaign/runner.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
@@ -282,26 +283,8 @@ void ResultCache::store(const campaign::CampaignSpec& spec,
 
         const std::uint64_t plan = spec.hash();
         campaign::ShardResult entry;
-        campaign::ShardManifest& m = entry.manifest;
-        m.spec_hash = plan;
-        m.shard_index = 0;
-        m.shard_count = 1;
-        m.campaign = spec.name;
-        m.host = campaign::host_name();
-        m.backend = spec.backend;
-        m.variant_backends = spec.variant_backends;
-        if (spec.adaptive()) {
-            m.adaptive_min = spec.adaptive_min;
-            m.adaptive_batch = spec.adaptive_batch;
-            m.adaptive_stability = spec.adaptive_stability;
-            m.adaptive_coordinated = spec.adaptive_coordinated;
-            m.adaptive_confidence = spec.adaptive_confidence;
-            m.stopset_rounds = stopset_rounds;
-            m.samples_per_algorithm.reserve(merged.size());
-            for (std::size_t i = 0; i < merged.size(); ++i) {
-                m.samples_per_algorithm.push_back(merged.samples(i).size());
-            }
-        }
+        entry.manifest = campaign::plan_manifest(spec, 0, 1, merged);
+        entry.manifest.stopset_rounds = stopset_rounds;
         entry.measurements = merged;
 
         // Publish payload first, sidecar second: a reader that sees the

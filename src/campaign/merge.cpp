@@ -22,7 +22,6 @@ core::MeasurementSet merge_shards(const CampaignSpec& spec,
 
     const std::uint64_t expected_hash = spec.hash();
     const std::size_t shard_count = shards.front().manifest.shard_count;
-    std::vector<const ShardResult*> by_index(shard_count, nullptr);
 
     for (const ShardResult& shard : shards) {
         const ShardManifest& m = shard.manifest;
@@ -121,11 +120,23 @@ core::MeasurementSet merge_shards(const CampaignSpec& spec,
                 "merge_shards: shard index %zu out of range [0, %zu)",
                 m.shard_index, shard_count));
         }
-        if (by_index[m.shard_index] != nullptr) {
+    }
+    // The count comes from an unvalidated file: check it against the shards
+    // in hand before sizing the index table by it.
+    if (shard_count > shards.size()) {
+        throw Error(str::format(
+            "merge_shards: the manifests name %zu shards, %zu are present — "
+            "a shard is missing",
+            shard_count, shards.size()));
+    }
+    std::vector<const ShardResult*> by_index(shard_count, nullptr);
+    for (const ShardResult& shard : shards) {
+        const std::size_t index = shard.manifest.shard_index;
+        if (by_index[index] != nullptr) {
             throw Error(str::format("merge_shards: duplicate shard %zu/%zu",
-                                    m.shard_index, shard_count));
+                                    index, shard_count));
         }
-        by_index[m.shard_index] = &shard;
+        by_index[index] = &shard;
     }
     for (std::size_t i = 0; i < shard_count; ++i) {
         if (by_index[i] == nullptr) {
@@ -200,18 +211,14 @@ core::MeasurementSet merge_shards(const CampaignSpec& spec,
 core::AnalysisResult run_campaign(const CampaignSpec& spec,
                                   std::size_t shard_count,
                                   std::size_t workers) {
-    // Coordinated plans cannot run shard-by-shard (the stop decisions need
-    // the merged view between rounds), so route them through the
-    // coordinator; `workers` is moot there — the coordinator is one process
-    // driving one global engine.
-    if (spec.adaptive_coordinated) {
-        return run_coordinated_campaign(spec, shard_count).analysis;
+    if (!spec.stops_depend_on_k(shard_count)) {
+        GlobalSampleSource bundle(spec);
+        return measure_campaign(spec, shard_count, bundle.source()).analysis;
     }
     const LocalShardRunner runner(workers);
     const std::vector<ShardResult> shards = runner.run(spec, shard_count);
-    core::MeasurementSet merged = merge_shards(spec, shards);
     core::AnalysisResult result = core::analyze_measurements(
-        std::move(merged), spec.analysis_config());
+        merge_shards(spec, shards), spec.analysis_config());
     // analyze_measurements cannot know the plan's cap; restore the true
     // fixed-N cost so result.saved quantities reflect the adaptive savings.
     result.fixed_n_samples = result.measurements.size() * spec.measurements;

@@ -1,11 +1,14 @@
 #pragma once
 //! \file merge.hpp
-//! Merge-then-cluster: validate a set of shard results against the campaign
-//! spec and stitch them back into the unsharded MeasurementSet, then hand it
-//! to the standard analysis. Validation is strict — a merge over shards from
-//! a different plan (spec hash mismatch), a duplicate shard, a missing shard
-//! or a shard whose contents disagree with its plan is a hard error, because
-//! a silently wrong merge would produce a confidently wrong clustering.
+//! Merge-then-cluster for shard files, and the one-host campaign entry
+//! point. merge_shards validates a set of shard results against the
+//! campaign spec and stitches them back into the unsharded MeasurementSet:
+//! the collect step of the `--shard`/`--merge` flow, the per-shard path of
+//! run_campaign and the result cache's entry check. Validation is strict —
+//! a merge over shards from a different plan (spec hash mismatch), a
+//! duplicate shard, a missing shard or a shard whose contents disagree with
+//! its plan is a hard error, because a silently wrong merge would produce a
+//! confidently wrong clustering.
 
 #include "campaign/shard_io.hpp"
 #include "campaign/spec.hpp"
@@ -25,15 +28,15 @@ namespace relperf::campaign {
 [[nodiscard]] core::MeasurementSet merge_shards(
     const CampaignSpec& spec, const std::vector<ShardResult>& shards);
 
-/// Convenience single-host campaign: run all shards (LocalShardRunner with
-/// `workers` threads), merge, cluster. shard_count = 0 uses spec.shards.
-/// For fixed-N specs this produces the exact AnalysisResult of
-/// core::analyze_chain on the same plan, for every choice of shard_count
-/// and workers. Adaptive specs are deterministic per shard_count, but
-/// shard-local early stopping decides per shard, so different K may keep
-/// different per-algorithm counts (the sample values stay prefix-identical).
-/// Coordinated specs (adaptive_coordination = coordinated) route through
-/// run_coordinated_campaign, whose counts are K-invariant.
+/// Single-host campaign. shard_count = 0 uses spec.shards. A plan whose stop
+/// decisions do not depend on K (fixed-N, coordinated, or shard-local
+/// adaptive with K = 1; see CampaignSpec::stops_depend_on_k) is measured
+/// once through measure_campaign over the full variant list, so the result
+/// is the same for every K and `workers` is moot. Only a shard-local
+/// adaptive plan with K > 1 runs its shards (LocalShardRunner with
+/// `workers` threads), merges and clusters the merged set: each shard
+/// stops on its own algorithms, so different K may keep different
+/// per-algorithm counts (the sample values stay prefix-identical).
 [[nodiscard]] core::AnalysisResult run_campaign(const CampaignSpec& spec,
                                                 std::size_t shard_count = 0,
                                                 std::size_t workers = 1);

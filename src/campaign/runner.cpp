@@ -46,36 +46,6 @@ core::MeasurementSet measure_plan(const CampaignSpec& spec,
     return std::move(engine.run(bundle.source()).measurements);
 }
 
-/// The manifest fields every shard of `spec`'s plan carries: the plan hash,
-/// the shard reference, this host, the backends, the provenance record and
-/// (adaptive plans) the stopping knobs. The provenance record is a pure
-/// function of build + host + spec, so attaching it keeps shard files
-/// byte-identical with obs on or off.
-ShardManifest plan_manifest(const CampaignSpec& spec, std::size_t shard_index,
-                            std::size_t shard_count) {
-    ShardManifest m;
-    m.spec_hash = spec.hash();
-    m.shard_index = shard_index;
-    m.shard_count = shard_count;
-    m.campaign = spec.name;
-    m.host = host_name();
-    m.backend = spec.backend;
-    m.variant_backends = spec.variant_backends;
-    for (const obs::ProvenanceEntry& e : obs::provenance()) {
-        m.provenance.emplace_back(e.key, e.value);
-    }
-    if (spec.adaptive()) {
-        m.adaptive_min = spec.adaptive_min;
-        m.adaptive_batch = spec.adaptive_batch;
-        m.adaptive_stability = spec.adaptive_stability;
-        m.adaptive_coordinated = spec.adaptive_coordinated;
-        // Counts stopped by the confidence rule are not counts the
-        // stability rule produced, so the rule is part of the record.
-        m.adaptive_confidence = spec.adaptive_confidence;
-    }
-    return m;
-}
-
 } // namespace
 
 ShardResult run_shard(const CampaignSpec& spec, std::size_t shard_index,
@@ -100,17 +70,40 @@ ShardResult run_shard(const CampaignSpec& spec, std::size_t shard_index,
     obs::metrics().shards_total.inc();
 
     ShardResult result;
-    result.manifest = plan_manifest(spec, shard_index, count);
     result.measurements = measure_plan(spec, sharder.plan(shard_index));
+    result.manifest =
+        plan_manifest(spec, shard_index, count, result.measurements);
+    return result;
+}
+
+ShardManifest plan_manifest(const CampaignSpec& spec, std::size_t shard_index,
+                            std::size_t shard_count,
+                            const core::MeasurementSet& measured) {
+    ShardManifest m;
+    m.spec_hash = spec.hash();
+    m.shard_index = shard_index;
+    m.shard_count = shard_count;
+    m.campaign = spec.name;
+    m.host = host_name();
+    m.backend = spec.backend;
+    m.variant_backends = spec.variant_backends;
+    for (const obs::ProvenanceEntry& e : obs::provenance()) {
+        m.provenance.emplace_back(e.key, e.value);
+    }
     if (spec.adaptive()) {
-        result.manifest.samples_per_algorithm.reserve(
-            result.measurements.size());
-        for (std::size_t i = 0; i < result.measurements.size(); ++i) {
-            result.manifest.samples_per_algorithm.push_back(
-                result.measurements.samples(i).size());
+        m.adaptive_min = spec.adaptive_min;
+        m.adaptive_batch = spec.adaptive_batch;
+        m.adaptive_stability = spec.adaptive_stability;
+        m.adaptive_coordinated = spec.adaptive_coordinated;
+        // Counts stopped by the confidence rule are not counts the
+        // stability rule produced, so the rule is part of the record.
+        m.adaptive_confidence = spec.adaptive_confidence;
+        m.samples_per_algorithm.reserve(measured.size());
+        for (std::size_t i = 0; i < measured.size(); ++i) {
+            m.samples_per_algorithm.push_back(measured.samples(i).size());
         }
     }
-    return result;
+    return m;
 }
 
 struct GlobalSampleSource::Impl {
@@ -182,6 +175,48 @@ core::SampleSource& GlobalSampleSource::source() {
     return *impl_->real_source;
 }
 
+CoordinatedCampaignResult measure_campaign(const CampaignSpec& spec,
+                                           std::size_t shard_count,
+                                           core::SampleSource& source) {
+    spec.validate();
+    RELPERF_REQUIRE(!spec.stops_depend_on_k(shard_count),
+                    "measure_campaign: shard-local adaptive stopping decides "
+                    "per shard, so its counts depend on K — run the shards "
+                    "(run_campaign) instead of one engine");
+    const std::size_t count = effective_shard_count(spec, shard_count);
+    const Sharder sharder(spec.variants().size(), count);
+    RELPERF_REQUIRE(source.count() == sharder.assignment_count(),
+                    "measure_campaign: the sample source must enumerate the "
+                    "spec's full global variant list");
+
+    // Every variant draws from the stream of its global index, so the one
+    // engine over the full list is value-identical to any split. For a
+    // coordinated plan the engine's per-round clustering IS the merged
+    // clustering and its frozen set IS the global stop-set: the observer
+    // is where the broadcast becomes observable.
+    CoordinatedCampaignResult out;
+    core::RoundObserver observer;
+    if (spec.adaptive_coordinated) {
+        observer = [&out, count](const core::EngineRound& r) {
+            obs::Span round("campaign.coordinate", "campaign");
+            round.arg("round", static_cast<std::uint64_t>(r.round))
+                .arg("shards", static_cast<std::uint64_t>(count))
+                .arg("newly_stopped",
+                     static_cast<std::uint64_t>(r.newly_stopped))
+                .arg("stopset", static_cast<std::uint64_t>(r.stopped_total))
+                .arg("active", static_cast<std::uint64_t>(r.active));
+            obs::metrics().coordination_rounds.inc();
+            // The global stop-set goes out to every shard each round.
+            obs::metrics().stopset_broadcast_total.inc(count);
+            out.stopset_rounds.push_back(r.stopped_total);
+        };
+    }
+    out.analysis =
+        core::analyze_source(source, spec.analysis_config(), observer);
+    out.rounds = out.stopset_rounds.size();
+    return out;
+}
+
 CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
                                                    std::size_t shard_count) {
     GlobalSampleSource bundle(spec);
@@ -191,7 +226,6 @@ CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
 CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
                                                    std::size_t shard_count,
                                                    core::SampleSource& source) {
-    spec.validate();
     RELPERF_REQUIRE(spec.adaptive(),
                     "run_coordinated_campaign: spec is fixed-N — coordinated "
                     "stopping needs an adaptive plan "
@@ -200,60 +234,7 @@ CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
                     "run_coordinated_campaign: spec does not declare "
                     "'adaptive_coordination = coordinated' — the key is part "
                     "of the measurement plan and must be recorded");
-    const std::size_t count = effective_shard_count(spec, shard_count);
-    const Sharder sharder(spec.variants().size(), count);
-
-    // The coordinator owns the round loop conceptually, but it does not need
-    // to own it mechanically: every variant draws from the stream derived
-    // from its *global* index, so "collect all shards' measurements,
-    // re-cluster the merged set, broadcast the stop-set" is value-identical
-    // to running the one engine over the full variant list — the merged
-    // clustering IS the engine's per-round clustering, and the global
-    // stop-set IS the engine's frozen set. The observer is where the
-    // broadcast becomes observable: one coordination round and K stop-set
-    // broadcasts per clustering, recorded for the shard manifests.
-    RELPERF_REQUIRE(source.count() == sharder.assignment_count(),
-                    "run_coordinated_campaign: the sample source must "
-                    "enumerate the spec's full global variant list");
-    CoordinatedCampaignResult out;
-    const core::RoundObserver observer = [&](const core::EngineRound& r) {
-        obs::Span round("campaign.coordinate", "campaign");
-        round.arg("round", static_cast<std::uint64_t>(r.round))
-            .arg("shards", static_cast<std::uint64_t>(count))
-            .arg("newly_stopped", static_cast<std::uint64_t>(r.newly_stopped))
-            .arg("stopset", static_cast<std::uint64_t>(r.stopped_total))
-            .arg("active", static_cast<std::uint64_t>(r.active));
-        obs::metrics().coordination_rounds.inc();
-        // The global stop-set goes out to every shard each round.
-        obs::metrics().stopset_broadcast_total.inc(count);
-        out.stopset_rounds.push_back(r.stopped_total);
-    };
-    out.analysis = core::analyze_source(source, spec.analysis_config(), observer);
-    out.rounds = out.stopset_rounds.size();
-
-    // Slice the global result into per-shard files. Manifests carry the
-    // coordinated plan and the broadcast history so a later merge_shards can
-    // verify every file came from the same coordinator run.
-    const core::AnalysisResult& global = out.analysis;
-    out.shards.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        obs::metrics().shards_total.inc();
-        ShardResult shard;
-        shard.manifest = plan_manifest(spec, i, count);
-        shard.manifest.stopset_rounds = out.stopset_rounds;
-        const ShardPlan plan = sharder.plan(i);
-        shard.manifest.samples_per_algorithm.reserve(
-            plan.assignment_indices.size());
-        for (const std::size_t index : plan.assignment_indices) {
-            const auto samples = global.measurements.samples(index);
-            shard.measurements.add(global.measurements.name(index),
-                                   {samples.begin(), samples.end()});
-            shard.manifest.samples_per_algorithm.push_back(
-                global.samples_per_alg[index]);
-        }
-        out.shards.push_back(std::move(shard));
-    }
-    return out;
+    return measure_campaign(spec, shard_count, source);
 }
 
 LocalShardRunner::LocalShardRunner(std::size_t workers) : workers_(workers) {

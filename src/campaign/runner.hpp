@@ -1,12 +1,16 @@
 #pragma once
 //! \file runner.hpp
-//! Shard execution. run_shard() measures exactly the assignments a shard
-//! owns, on per-assignment RNG streams derived from the campaign's
-//! measurement seed and each assignment's *global* index
-//! (core::assignment_stream_seed) — so the union of all shards reproduces
-//! the single-process pipeline bit-for-bit, no matter where or in which
-//! order the shards ran. LocalShardRunner fans the shards of one campaign
-//! out across worker threads on this machine.
+//! Campaign execution on this host. Every variant draws from the RNG stream
+//! derived from the campaign's measurement seed and its *global* index
+//! (core::assignment_stream_seed), so splitting a plan into K shards changes
+//! no measured value. A plan whose stop decisions do not depend on K
+//! (!CampaignSpec::stops_depend_on_k) is therefore measured once:
+//! measure_campaign runs one core::analyze_source call over the full
+//! variant list, with the coordinator's round observer attached when the
+//! plan is coordinated. run_campaign, run_coordinated_campaign and the
+//! result cache all go through it. Only shard-local adaptive stopping with
+//! K > 1 fans out: run_shard measures the assignments one shard owns, and
+//! LocalShardRunner runs every shard of a campaign across worker threads.
 
 #include "campaign/shard_io.hpp"
 #include "campaign/sharder.hpp"
@@ -21,50 +25,62 @@
 namespace relperf::campaign {
 
 /// Measures shard `shard_index` of `spec`'s plan split into `shard_count`
-/// shards. Pass shard_count = 0 to use spec.shards. The result's manifest
-/// carries the spec hash, the shard reference and this host's name.
+/// shards (the `--shard i/K` step and the per-shard path of run_campaign).
+/// Pass shard_count = 0 to use spec.shards. The result's manifest is
+/// plan_manifest's.
 [[nodiscard]] ShardResult run_shard(const CampaignSpec& spec,
                                     std::size_t shard_index,
                                     std::size_t shard_count = 0);
 
-/// Outcome of a coordinated adaptive campaign: the merged analysis plus the
-/// per-shard results (for shard-file emission) and the coordinator's
-/// broadcast history.
+/// The manifest of shard `shard_index` of `shard_count` holding
+/// `measured`: the plan hash, the shard reference, this host, the backends,
+/// the provenance record and, for adaptive plans, the stopping knobs and the
+/// per-algorithm counts. The provenance record is a pure function of build,
+/// host and spec, so shard files stay byte-identical with obs on or off.
+/// Shard files and result-cache entries (shard 0 of 1) both carry it.
+[[nodiscard]] ShardManifest plan_manifest(const CampaignSpec& spec,
+                                          std::size_t shard_index,
+                                          std::size_t shard_count,
+                                          const core::MeasurementSet& measured);
+
+/// Outcome of a single-engine campaign: the analysis plus, for coordinated
+/// plans, the coordinator's broadcast history (empty otherwise).
 struct CoordinatedCampaignResult {
-    /// Final merged analysis — measurements in global enumeration order,
-    /// clustering identical to analyze_measurements on them, with
-    /// fixed_n_samples restored to the plan's true cap.
+    /// Measurements in global enumeration order, the engine's clustering,
+    /// fixed_n_samples set to the plan's true cap.
     core::AnalysisResult analysis;
-    /// Per-shard slices of the coordinated run, ordered by shard index. Each
-    /// manifest records the coordinated plan and the broadcast history, so
-    /// the files a coordinated campaign writes re-merge like any others.
-    std::vector<ShardResult> shards;
     /// Cumulative global stop-set size after each coordinator round.
     std::vector<std::size_t> stopset_rounds;
     std::size_t rounds = 0; ///< Coordinator rounds (clusterings consulted).
 };
 
-/// Runs an adaptive campaign with cross-shard coordinated stopping: between
-/// rounds the coordinator re-clusters the *merged* measurements of all
-/// shards and broadcasts the global stop-set, so stop decisions watch the
-/// same statistic the final analysis reports. Because every variant draws
-/// from the stream derived from its global index and the stop-set is global,
-/// per-algorithm sample counts are K-invariant: shard_count only changes how
-/// the results are sliced into shard files, never a measured value — and
-/// with shard_count = 1 the run is bit-identical to the shard-local engine.
-/// Requires an adaptive spec with adaptive_coordinated set (the key is
-/// measurement-determining, so the manifests and the plan hash must record
-/// it; relperf_cli --coordinated sets it on the loaded spec). shard_count =
-/// 0 uses spec.shards.
+/// The one-host measurement of a plan whose stop decisions do not depend on
+/// K: one core::analyze_source call over `source`, which must enumerate the
+/// spec's full global variant list on the per-assignment streams of
+/// core::assignment_stream_seed (GlobalSampleSource, or a decorator over it
+/// such as the result cache's replaying source). For a coordinated plan the
+/// coordinator's observer records each round: one coordination round and K
+/// stop-set broadcasts per clustering. Because the stop-set is global, the
+/// counts are K-invariant, and K only validates the split. Throws when
+/// spec.stops_depend_on_k(shard_count). shard_count = 0 uses spec.shards.
+[[nodiscard]] CoordinatedCampaignResult measure_campaign(
+    const CampaignSpec& spec, std::size_t shard_count,
+    core::SampleSource& source);
+
+/// Runs an adaptive campaign with cross-shard coordinated stopping: each
+/// round's stop decisions watch the clustering of *all* algorithms, the
+/// same statistic the final analysis reports, so per-algorithm sample
+/// counts are K-invariant, and with shard_count = 1 the run is
+/// bit-identical to the shard-local engine. Requires an adaptive spec with
+/// adaptive_coordinated set (the key is measurement-determining, so the
+/// plan hash must record it; relperf_cli --coordinated sets it on the
+/// loaded spec), then measures through measure_campaign. shard_count = 0
+/// uses spec.shards.
 [[nodiscard]] CoordinatedCampaignResult run_coordinated_campaign(
     const CampaignSpec& spec, std::size_t shard_count = 0);
 
-/// As above, but drawing from `source` instead of building the spec's
-/// executor-backed source internally. `source` must enumerate the spec's
-/// full global variant list in order, on the per-assignment streams of
-/// core::assignment_stream_seed — the seam the result cache's
-/// prefix-extension path uses to serve already-measured draws from disk
-/// while fresh draws fall through to the real executor.
+/// As above, but drawing from `source` (see measure_campaign) instead of
+/// building the spec's executor-backed source internally.
 [[nodiscard]] CoordinatedCampaignResult run_coordinated_campaign(
     const CampaignSpec& spec, std::size_t shard_count,
     core::SampleSource& source);
@@ -75,8 +91,7 @@ struct CoordinatedCampaignResult {
 /// full global variant list; given a ShardPlan it enumerates only that
 /// shard's variants, in plan order. This is the one place a campaign's
 /// executor and source are built: run_shard measures its plan through it,
-/// the coordinator and the result cache's prefix-extension path the full
-/// list. The executor lives as long as the bundle, so the source reference
+/// measure_campaign's callers the full list. The executor lives as long as the bundle, so the source reference
 /// stays valid. Throws before measuring anything when this build lacks one
 /// of the plan's backends.
 class GlobalSampleSource {
@@ -94,7 +109,8 @@ private:
     std::unique_ptr<Impl> impl_;
 };
 
-/// Runs every shard of a campaign on this machine.
+/// Runs every shard of a campaign on this machine: the per-shard path of
+/// run_campaign for plans whose stop decisions depend on K.
 class LocalShardRunner {
 public:
     /// `workers` = maximum concurrent shard threads; 0 means one per

@@ -57,9 +57,10 @@ struct ShardManifest {
     /// 0 = the membership-stability rule. Checked like `backend`.
     double adaptive_confidence = 0.0;
     /// Cumulative global stop-set size after each coordinator round
-    /// (`# stopset_rounds = 0,5,8`). Written only by coordinated shards; the
-    /// coordinator hands every shard the same broadcast history, so
-    /// merge_shards requires the lists to be identical across files.
+    /// (`# stopset_rounds = 0,5,8`). Written only for coordinated runs (the
+    /// result cache's entry); the coordinator hands every shard the same
+    /// broadcast history, so merge_shards requires the lists to be
+    /// identical across files.
     std::vector<std::size_t> stopset_rounds;
     /// Per-algorithm sample counts in CSV order (`# samples_per_algorithm =
     /// 10,15,30`). Written only by adaptive shards — fixed-N counts are

@@ -5,6 +5,7 @@
 #include "workloads/assignment.hpp"
 
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -113,6 +114,11 @@ void CampaignSpec::validate() const {
     }
 }
 
+bool CampaignSpec::stops_depend_on_k(std::size_t shard_count) const noexcept {
+    const std::size_t k = shard_count == 0 ? shards : shard_count;
+    return adaptive() && !adaptive_coordinated && k > 1;
+}
+
 namespace {
 
 std::string sizes_to_text(const std::vector<std::size_t>& sizes) {
@@ -120,6 +126,19 @@ std::string sizes_to_text(const std::vector<std::size_t>& sizes) {
     parts.reserve(sizes.size());
     for (const std::size_t s : sizes) parts.push_back(std::to_string(s));
     return str::join(parts, ",");
+}
+
+/// A thread-count key: a size that must fit the int the executor takes. A
+/// silent narrowing would run, and hash, a different team size.
+int parse_thread_count(const std::string& value, const std::string& key) {
+    const std::size_t threads = str::parse_size(value, key);
+    if (threads > static_cast<std::size_t>(std::numeric_limits<int>::max())) {
+        throw InvalidArgument(str::format("%s: %zu exceeds the largest "
+                                          "thread count %d",
+                                          key.c_str(), threads,
+                                          std::numeric_limits<int>::max()));
+    }
+    return static_cast<int>(threads);
 }
 
 } // namespace
@@ -248,10 +267,9 @@ CampaignSpec CampaignSpec::parse(const std::string& text,
             } else if (key == "adaptive_confidence") {
                 spec.adaptive_confidence = str::parse_double(value, key);
             } else if (key == "device_threads") {
-                spec.device_threads = static_cast<int>(str::parse_size(value, key));
+                spec.device_threads = parse_thread_count(value, key);
             } else if (key == "accelerator_threads") {
-                spec.accelerator_threads =
-                    static_cast<int>(str::parse_size(value, key));
+                spec.accelerator_threads = parse_thread_count(value, key);
             } else if (key == "dispatch_delay_us") {
                 spec.dispatch_delay_us = str::parse_double(value, key);
             } else if (key == "switch_delay_us") {

@@ -155,6 +155,14 @@ struct CampaignSpec {
     /// True when the adaptive engine drives measurement (adaptive_min > 0).
     [[nodiscard]] bool adaptive() const noexcept { return adaptive_min != 0; }
 
+    /// True when the plan's stop decisions depend on the shard count K
+    /// (shard_count = 0 uses `shards`). Only shard-local adaptive stopping
+    /// with K > 1 does: each shard clusters just the algorithms it owns.
+    /// Every other plan measures the same values for every K, so one host
+    /// measures it once through one engine and the result cache may serve
+    /// and store it (the plan hash excludes K).
+    [[nodiscard]] bool stops_depend_on_k(std::size_t shard_count) const noexcept;
+
     /// The engine knobs of an adaptive spec: min = adaptive_min,
     /// max = measurements. Throws when adaptive() is false.
     [[nodiscard]] core::AdaptiveConfig adaptive_config() const;

@@ -114,8 +114,10 @@ MeasurementSet measure_all(SampleSource& source, std::size_t n) {
     // relperf_samples_total is counted by the sources' leaf draw() calls,
     // not here: a caching source that serves stored values must not count.
     MeasurementSet set;
-    for (std::size_t i = 0; i < source.count(); ++i) {
+    const std::size_t count = source.count();
+    for (std::size_t i = 0; i < count; ++i) {
         set.add(source.name(i), source.draw(i, n));
+        obs::report_progress("measure", i + 1, count);
     }
     return set;
 }

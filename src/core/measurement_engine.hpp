@@ -165,8 +165,9 @@ private:
 };
 
 /// The single generic fixed-N measurement path: n samples of every
-/// algorithm, in source order. Every legacy measure_* wrapper and the
-/// engine's first round go through this loop.
+/// algorithm, in source order, reporting a "measure" progress tick per
+/// algorithm. Every legacy measure_* wrapper and the engine's first round
+/// go through this loop.
 [[nodiscard]] MeasurementSet measure_all(SampleSource& source, std::size_t n);
 
 /// Outcome of one engine run.

@@ -8,9 +8,9 @@
 //! Every measure-then-cluster run goes through analyze_source: it measures a
 //! SampleSource under an AnalysisConfig and decides, in that one place,
 //! between fixed N (measure_all, then one clustering) and the adaptive
-//! MeasurementEngine (AnalysisConfig::adaptive). analyze_chain, the
-//! campaign coordinator and the result cache's prefix extension all call
-//! it. The measure_* functions below are thin wrappers over measure_all,
+//! MeasurementEngine (AnalysisConfig::adaptive). analyze_chain and every
+//! one-host campaign that measures once (campaign::measure_campaign: plain,
+//! coordinated, cached) call it. The measure_* functions below are thin wrappers over measure_all,
 //! kept for their historical signatures; their output is bit-identical to
 //! the pre-engine batch loops.
 

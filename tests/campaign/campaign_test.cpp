@@ -193,6 +193,15 @@ TEST(Campaign, MergeRejectsDuplicateAndMissingShards) {
     EXPECT_NO_THROW((void)campaign::merge_shards(spec, {s1, s0}));
 }
 
+TEST(Campaign, MergeRejectsAHostileShardCountBeforeAllocating) {
+    // The manifest's shard_count comes from an unvalidated file; a table
+    // sized by 2^40 would ask for 8 TiB before any other check ran.
+    const campaign::CampaignSpec spec = small_spec();
+    campaign::ShardResult s0 = campaign::run_shard(spec, 0, 2);
+    s0.manifest.shard_count = std::size_t{1} << 40;
+    EXPECT_THROW((void)campaign::merge_shards(spec, {s0}), relperf::Error);
+}
+
 TEST(Campaign, MergeRejectsTamperedShardContents) {
     const campaign::CampaignSpec spec = small_spec();
     campaign::ShardResult s0 = campaign::run_shard(spec, 0, 2);
@@ -468,7 +477,6 @@ TEST(CampaignCoordinated, CountsAreKInvariantAndStopHistoryAgrees) {
                               k1.analysis.measurements);
         expect_clusterings_identical(kr.analysis.clustering,
                                      k1.analysis.clustering);
-        ASSERT_EQ(kr.shards.size(), k);
     }
 }
 
@@ -482,72 +490,51 @@ TEST(CampaignCoordinated, SingleShardEqualsShardLocalBitForBit) {
         campaign::run_coordinated_campaign(coordinated, 1);
     const campaign::ShardResult local = campaign::run_shard(shard_local, 0, 1);
     expect_sets_identical(coord.analysis.measurements, local.measurements);
-    ASSERT_EQ(coord.shards.size(), 1u);
-    EXPECT_EQ(coord.shards[0].manifest.samples_per_algorithm,
+    EXPECT_EQ(coord.analysis.samples_per_alg,
               local.manifest.samples_per_algorithm);
-}
-
-TEST(CampaignCoordinated, ShardManifestsCarryThePlanAndMergeRoundTrips) {
-    const campaign::CampaignSpec spec = [] {
-        campaign::CampaignSpec s = coordinated_spec();
-        s.adaptive_confidence = 0.95;
-        return s;
-    }();
-    const campaign::CoordinatedCampaignResult coord =
-        campaign::run_coordinated_campaign(spec, 3);
-    for (const campaign::ShardResult& shard : coord.shards) {
-        EXPECT_TRUE(shard.manifest.adaptive_coordinated);
-        EXPECT_DOUBLE_EQ(shard.manifest.adaptive_confidence, 0.95);
-        EXPECT_EQ(shard.manifest.stopset_rounds, coord.stopset_rounds);
-        EXPECT_EQ(shard.manifest.spec_hash, spec.hash());
-        ASSERT_EQ(shard.manifest.samples_per_algorithm.size(),
-                  shard.measurements.size());
-        for (std::size_t i = 0; i < shard.measurements.size(); ++i) {
-            EXPECT_EQ(shard.manifest.samples_per_algorithm[i],
-                      shard.measurements.samples(i).size());
-        }
-    }
-
-    // The slices merge back to exactly the coordinator's merged set —
-    // through the on-disk shard files, like a distributed collect would.
-    std::vector<campaign::ShardResult> loaded;
-    for (const campaign::ShardResult& shard : coord.shards) {
-        const std::string path =
-            relperf::test::temp_path("coord_shard_" +
-                                     std::to_string(shard.manifest.shard_index) +
-                                     ".csv");
-        campaign::write_shard_csv(shard, path);
-        loaded.push_back(campaign::read_shard_csv(path));
-        std::remove(path.c_str());
-    }
-    expect_sets_identical(campaign::merge_shards(spec, loaded),
-                          coord.analysis.measurements);
 }
 
 TEST(CampaignCoordinated, MergeRejectsMismatchedCoordinationPlans) {
     const campaign::CampaignSpec spec = coordinated_spec();
     const campaign::CoordinatedCampaignResult coord =
         campaign::run_coordinated_campaign(spec, 2);
+    // Two files of the coordinated run, each manifest recording the
+    // coordinated plan and the broadcast history.
+    const campaign::Sharder sharder(coord.analysis.measurements.size(), 2);
+    std::vector<campaign::ShardResult> sliced;
+    for (const campaign::ShardPlan& plan : sharder.all_plans()) {
+        campaign::ShardResult shard;
+        for (const std::size_t index : plan.assignment_indices) {
+            const auto samples = coord.analysis.measurements.samples(index);
+            shard.measurements.add(coord.analysis.measurements.name(index),
+                                   {samples.begin(), samples.end()});
+        }
+        shard.manifest = campaign::plan_manifest(spec, plan.index, plan.count,
+                                                 shard.measurements);
+        shard.manifest.stopset_rounds = coord.stopset_rounds;
+        sliced.push_back(std::move(shard));
+    }
 
     // Shard-local shards under a coordinated spec (and vice versa).
-    std::vector<campaign::ShardResult> shards = coord.shards;
+    std::vector<campaign::ShardResult> shards = sliced;
     shards[1].manifest.adaptive_coordinated = false;
     EXPECT_THROW((void)campaign::merge_shards(spec, shards), relperf::Error);
     const campaign::CampaignSpec shard_local = adaptive_spec();
-    EXPECT_THROW((void)campaign::merge_shards(shard_local, coord.shards),
+    EXPECT_THROW((void)campaign::merge_shards(shard_local, sliced),
                  relperf::Error);
 
     // A shard that stopped on a different rule.
-    shards = coord.shards;
+    shards = sliced;
     shards[0].manifest.adaptive_confidence = 0.99;
     EXPECT_THROW((void)campaign::merge_shards(spec, shards), relperf::Error);
 
     // A shard from a different coordinator run (divergent stop-set history).
-    shards = coord.shards;
+    shards = sliced;
     shards[1].manifest.stopset_rounds.back() += 1;
     EXPECT_THROW((void)campaign::merge_shards(spec, shards), relperf::Error);
 
-    EXPECT_NO_THROW((void)campaign::merge_shards(spec, coord.shards));
+    expect_sets_identical(campaign::merge_shards(spec, sliced),
+                          coord.analysis.measurements);
 }
 
 TEST(CampaignCoordinated, RunShardRejectsCoordinatedSpecs) {

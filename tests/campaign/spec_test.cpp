@@ -96,6 +96,27 @@ TEST(CampaignSpec, ParseErrorsNameSourceAndLine) {
     expect_error_containing("executor = quantum\n", "plan.spec:1:");
 }
 
+TEST(CampaignSpec, ThreadCountsAboveIntMaxAreRejectedAtParse) {
+    // 2^32 + 1 narrowed to int is 1: it would run, and hash, one thread.
+    for (const std::string key : {"device_threads", "accelerator_threads"}) {
+        const std::string text =
+            "campaign = x\nexecutor = real\n" + key + " = 4294967297\n";
+        try {
+            (void)campaign::CampaignSpec::parse(text, "plan.spec");
+            FAIL() << "expected an error for " << key;
+        } catch (const relperf::Error& e) {
+            const std::string message = e.what();
+            EXPECT_NE(message.find("plan.spec:3: " + key), std::string::npos)
+                << "message was: " << message;
+        }
+        const campaign::CampaignSpec largest = campaign::CampaignSpec::parse(
+            "executor = real\n" + key + " = 2147483647\n", "plan.spec");
+        EXPECT_EQ(key == "device_threads" ? largest.device_threads
+                                          : largest.accelerator_threads,
+                  2147483647);
+    }
+}
+
 TEST(CampaignSpec, ValidateRejectsOutOfRangeFields) {
     campaign::CampaignSpec spec;
     spec.sizes = {};

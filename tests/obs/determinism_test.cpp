@@ -191,8 +191,9 @@ TEST_F(DeterminismTest, AnalyzeChainIsByteIdenticalWithObsOn) {
 
 // Coordinated campaigns add a coordinator loop and two counters on top of
 // the engine; the byte guarantee must survive them. run_shard refuses
-// coordinated specs, so the shard bytes come from the coordinator's own
-// shard slices instead.
+// coordinated specs, so the shard bytes are the single-shard file the
+// result cache stores for the run: its manifest carries the coordinated
+// plan and the broadcast history.
 TEST_F(DeterminismTest, CoordinatedCampaignIsByteIdenticalWithObsOn) {
     campaign::CampaignSpec spec = base_spec();
     spec.adaptive_min = 5;
@@ -223,7 +224,12 @@ TEST_F(DeterminismTest, CoordinatedCampaignIsByteIdenticalWithObsOn) {
         core::write_clustering_csv(coord.analysis.clustering,
                                    coord.analysis.measurements,
                                    clustering_path);
-        campaign::write_shard_csv(coord.shards.front(), shard_path);
+        campaign::ShardResult entry;
+        entry.measurements = coord.analysis.measurements;
+        entry.manifest =
+            campaign::plan_manifest(spec, 0, 1, entry.measurements);
+        entry.manifest.stopset_rounds = coord.stopset_rounds;
+        campaign::write_shard_csv(entry, shard_path);
 
         if (instrumented) {
             EXPECT_GT(obs::metrics().coordination_rounds.value(), 0u);

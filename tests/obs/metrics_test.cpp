@@ -4,6 +4,7 @@
 //! source's exact sample counts.
 #include "obs/metrics.hpp"
 
+#include "campaign/merge.hpp"
 #include "campaign/runner.hpp"
 #include "core/measurement_engine.hpp"
 #include "obs/obs.hpp"
@@ -227,4 +228,36 @@ TEST_F(MetricsTest, CoordinatedCiPlanClustersOncePerRound) {
     EXPECT_EQ(run.analysis.total_samples, 135u);
     EXPECT_EQ(m.adaptive_rounds.value(), run.rounds);
     EXPECT_EQ(m.clusterings_total.value(), run.rounds);
+}
+
+// A one-host run of a K-invariant plan measures once, through one engine.
+// On the CI plan (relperf_cli --campaign-init defaults) with --adaptive
+// --min-n 10 --run --shards 1, the engine's last clustering is published
+// as is: no merged set is clustered again after the 4 rounds.
+TEST_F(MetricsTest, SingleShardAdaptiveCiPlanClustersOncePerRound) {
+    const obs::Metrics& m = obs::metrics();
+    obs::set_metrics_enabled(true);
+
+    campaign::CampaignSpec spec;
+    spec.adaptive_min = 10;
+    const core::AnalysisResult result = campaign::run_campaign(spec, 1);
+
+    EXPECT_EQ(result.total_samples, 170u);
+    EXPECT_EQ(m.adaptive_rounds.value(), 4u);
+    EXPECT_EQ(m.clusterings_total.value(), m.adaptive_rounds.value());
+}
+
+// The fixed-N CI plan split into two shards on one host is still one
+// measurement of the whole plan, so it reports the plan's fixed-N cost
+// (8 algorithms x 30) like any other measuring mode.
+TEST_F(MetricsTest, FixedNShardedRunReportsThePlanCost) {
+    const obs::Metrics& m = obs::metrics();
+    obs::set_metrics_enabled(true);
+
+    const campaign::CampaignSpec spec;
+    const core::AnalysisResult result = campaign::run_campaign(spec, 2);
+
+    EXPECT_EQ(result.total_samples, 240u);
+    EXPECT_EQ(m.samples_total.value(), 240u);
+    EXPECT_EQ(m.samples_fixed_n_total.value(), 240u);
 }

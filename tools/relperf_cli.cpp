@@ -17,7 +17,13 @@
 //!   $ relperf --campaign plan.spec --shard 0/4 --out shard_0.csv
 //!   $ relperf --campaign plan.spec --shard 1/4 --out shard_1.csv   # ... 2/4, 3/4
 //!   $ relperf --campaign plan.spec --merge 'shard_*.csv'           # 3. cluster
-//!   $ relperf --campaign plan.spec --run --shards 4 --workers 4  # one host
+//!   $ relperf --campaign plan.spec --run --shards 4              # one host
+//!
+//! On one host (--run) splitting changes no measured value, so a plan whose
+//! stop decisions do not depend on K — fixed-N, coordinated, or adaptive
+//! with one shard — is measured once through one engine, with or without
+//! the result cache (--cache-dir). Only shard-local adaptive stopping with
+//! K > 1 runs its shards, on --workers threads, and merges them.
 //!
 //! Adaptive campaigns (--adaptive, --min-n/--max-n/--batch/--stability)
 //! measure incrementally and stop algorithms whose performance-class
@@ -470,7 +476,9 @@ support::CliParser build_cli() {
     cli.add_flag("run", "run the whole campaign on this machine and cluster");
     cli.add_option("shards", "override the spec's shard count for --run "
                              "(0 = spec value)", "0");
-    cli.add_option("workers", "worker threads for --run (0 = all cores)", "1");
+    cli.add_option("workers", "worker threads for --run of a shard-local "
+                              "adaptive plan with K > 1 shards (0 = all "
+                              "cores)", "1");
     cli.add_option("merged-csv", "also write the merged measurements CSV here "
                                  "(--merge/--run modes)", "");
     cli.add_option("backend", "chain-default linalg backend for campaign "
