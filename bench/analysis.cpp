@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
         });
         const double speedup = legacy_ns > 0.0 ? legacy_ns / new_ns : 0.0;
 
-        std::printf("  scratch + nth_element : %10.1f ns/score\n", new_ns);
+        std::printf("  counting selection    : %10.1f ns/score\n", new_ns);
         std::printf("  legacy two-full-sorts : %10.1f ns/score\n", legacy_ns);
         std::printf("  speedup               : %10.2fx\n", speedup);
         const std::string param =

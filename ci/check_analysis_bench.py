@@ -92,7 +92,7 @@ def main() -> None:
     for param, value in speedups.items():
         if value <= SPEEDUP_FLOOR:
             fail(f"{path}: comparator speedup ({param}) = {value:.3f} "
-                 f"<= {SPEEDUP_FLOOR} — the scratch/nth_element fast path "
+                 f"<= {SPEEDUP_FLOOR} — the counting-selection fast path "
                  f"has regressed")
 
     sparse = find("clusterer", "sparse_wall_ms")

@@ -1,22 +1,66 @@
 #include "core/bootstrap_comparator.hpp"
 
 #include "obs/metrics.hpp"
-#include "stats/descriptive.hpp"
 #include "support/error.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 namespace relperf::core {
 
 namespace {
 
-/// Below this many resampled values per call the OpenMP fork/join overhead
-/// outweighs the per-round work, so the rounds run serially even in parallel
-/// builds. Results are bit-identical either way; the threshold is purely a
-/// performance knob.
-constexpr std::size_t kParallelWorkThreshold = 16384;
+/// Fills `table` for one sample: its values in ascending order, and the sorted
+/// position of every original index (ties broken by index). `counts` serves
+/// as the index permutation here and is zeroed before every round.
+void build_rank_table(BootstrapScratch::RankTable& table, std::span<const double> x) {
+    const std::size_t n = x.size();
+    table.sorted.resize(n);
+    table.rank_of.resize(n);
+    table.counts.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        RELPERF_REQUIRE(!std::isnan(x[i]), "BootstrapComparator: NaN in sample");
+        table.counts[i] = static_cast<std::uint32_t>(i);
+    }
+    std::sort(table.counts.begin(), table.counts.end(),
+              [x](std::uint32_t i, std::uint32_t j) {
+                  return x[i] < x[j] || (x[i] == x[j] && i < j);
+              });
+    for (std::size_t k = 0; k < n; ++k) {
+        table.sorted[k] = x[table.counts[k]];
+        table.rank_of[table.counts[k]] = static_cast<std::uint32_t>(k);
+    }
+}
+
+/// Draws one with-replacement resample of the table's sample as per-rank
+/// counts, consuming the rng exactly as drawing the values would.
+void draw_resample(BootstrapScratch::RankTable& table, stats::Rng& rng) {
+    const std::size_t n = table.sorted.size();
+    std::fill(table.counts.begin(), table.counts.end(), 0u);
+    for (std::size_t i = 0; i < n; ++i) {
+        ++table.counts[table.rank_of[static_cast<std::size_t>(rng.uniform_index(n))]];
+    }
+}
+
+/// stats::quantile_partial of the drawn resample, bit for bit: the order
+/// statistics lo and lo+1 come from one cumulative walk over the counts.
+double resample_quantile(const BootstrapScratch::RankTable& table, double p) {
+    const std::size_t n = table.sorted.size();
+    if (n == 1) return table.sorted[0];
+    const double h = p * static_cast<double>(n - 1);
+    const auto lo = static_cast<std::size_t>(h);
+    const std::size_t hi = std::min(lo + 1, n - 1);
+    const double frac = h - static_cast<double>(lo);
+    std::size_t k = 0;
+    std::size_t seen = table.counts[0];
+    while (seen <= lo) seen += table.counts[++k];
+    const double v_lo = table.sorted[k];
+    while (seen <= hi) seen += table.counts[++k];
+    const double v_hi = table.sorted[k];
+    return v_lo + frac * (v_hi - v_lo);
+}
 
 } // namespace
 
@@ -48,49 +92,21 @@ double BootstrapComparator::score(std::span<const double> a, std::span<const dou
     // loop, where even an unarmed span's ctor/dtor pair would be noise.
     obs::metrics().bootstrap_resamples_total.inc(2 * config_.rounds);
 
-    const std::size_t rounds = config_.rounds;
-    const std::size_t na = a.size();
-    const std::size_t nb = b.size();
-    scratch.resamples_a.resize(rounds * na);
-    scratch.resamples_b.resize(rounds * nb);
-    scratch.quantiles.resize(rounds);
-
-    // Phase 1 (serial): draw every round's resamples and quantile, in the
-    // exact per-round order the original one-pass loop consumed the rng
-    // (a-resample, b-resample, quantile). This keeps all scores — and with
-    // them every clustering and golden — bit-identical to the pre-scratch
-    // implementation, and makes phase 2 randomness-free and parallelizable.
-    double* slab_a = scratch.resamples_a.data();
-    double* slab_b = scratch.resamples_b.data();
-    for (std::size_t r = 0; r < rounds; ++r) {
-        double* row_a = slab_a + r * na;
-        for (std::size_t i = 0; i < na; ++i) {
-            row_a[i] = a[static_cast<std::size_t>(rng.uniform_index(na))];
-        }
-        double* row_b = slab_b + r * nb;
-        for (std::size_t i = 0; i < nb; ++i) {
-            row_b[i] = b[static_cast<std::size_t>(rng.uniform_index(nb))];
-        }
-        scratch.quantiles[r] = rng.uniform(config_.quantile_lo, config_.quantile_hi);
-    }
-
-    // Phase 2: per-round quantile selection and win/tie tally. Rounds are
-    // independent (disjoint slab rows, no rng) and the tally is an integer
-    // sum, so the parallel reduction matches the serial loop bit for bit.
+    // A resample's order statistics depend only on which indices it drew,
+    // so each round counts draws per sorted rank instead of copying and
+    // selecting values. The per-round rng order (a-resample, b-resample,
+    // quantile) must not change: every seeded score, clustering and golden
+    // depends on it.
+    build_rank_table(scratch.a, a);
+    build_rank_table(scratch.b, b);
     long wins_a = 0;
     long wins_b = 0;
-    [[maybe_unused]] const bool parallel =
-        config_.parallel_rounds && rounds * (na + nb) >= kParallelWorkThreshold;
-#ifdef _OPENMP
-    #pragma omp parallel for schedule(static) reduction(+ : wins_a, wins_b) \
-        if (parallel)
-#endif
-    for (std::size_t r = 0; r < rounds; ++r) {
-        const double q = scratch.quantiles[r];
-        const double qa =
-            stats::quantile_partial(std::span<double>(slab_a + r * na, na), q);
-        const double qb =
-            stats::quantile_partial(std::span<double>(slab_b + r * nb, nb), q);
+    for (std::size_t r = 0; r < config_.rounds; ++r) {
+        draw_resample(scratch.a, rng);
+        draw_resample(scratch.b, rng);
+        const double q = rng.uniform(config_.quantile_lo, config_.quantile_hi);
+        const double qa = resample_quantile(scratch.a, q);
+        const double qb = resample_quantile(scratch.b, q);
 
         const double band =
             config_.tie_epsilon * std::min(std::fabs(qa), std::fabs(qb));

@@ -20,6 +20,7 @@
 #include "core/comparison.hpp"
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace relperf::core {
@@ -32,26 +33,24 @@ struct BootstrapComparatorConfig {
     double quantile_hi = 0.65;       ///< Upper bound of the random quantile.
     double tie_epsilon = 0.02;       ///< Relative tie band per round.
     double decision_threshold = 0.9; ///< |score| needed to call a winner.
-    /// Evaluate the independent resample rounds in parallel (OpenMP builds
-    /// only; large inputs only — see kParallelWorkThreshold). The result is
-    /// bit-identical to the serial path: all randomness is drawn serially in
-    /// the legacy order before the rounds run, and the per-round win/tie
-    /// verdicts combine through an order-independent integer reduction.
-    bool parallel_rounds = true;
 
     /// Throws InvalidArgument when out of range.
     void validate() const;
 };
 
-/// Caller-owned scratch for BootstrapComparator::score: the resample slabs
-/// (rounds x sample size, drawn once per call) and the per-round quantiles.
-/// Reusing one scratch across the hundreds of thousands of score() calls a
-/// clustering makes turns the former two-allocations-plus-two-sorts per
-/// round into zero allocations and two partial selections.
+/// Caller-owned scratch for BootstrapComparator::score: one rank table per
+/// sample, rebuilt once per call. Each round draws its resample as per-rank
+/// counts and reads both interpolated order statistics off one walk, so
+/// reusing one scratch across the hundreds of thousands of score() calls a
+/// clustering makes leaves the rounds with no allocation and no value moves.
 struct BootstrapScratch {
-    std::vector<double> resamples_a; ///< rounds x a.size() slab.
-    std::vector<double> resamples_b; ///< rounds x b.size() slab.
-    std::vector<double> quantiles;   ///< One random quantile per round.
+    struct RankTable {
+        std::vector<double> sorted;         ///< The sample, ascending.
+        std::vector<std::uint32_t> rank_of; ///< Sorted position of each index.
+        std::vector<std::uint32_t> counts;  ///< Draws per position this round.
+    };
+    RankTable a;
+    RankTable b;
 };
 
 class BootstrapComparator final : public Comparator {
@@ -63,7 +62,8 @@ public:
                                    stats::Rng& rng) const override;
 
     /// The raw win-rate score in [-1, 1] (positive: a wins). Exposed for
-    /// diagnostics and the ablation benches. Uses a thread-local scratch —
+    /// diagnostics and the ablation benches. Throws InvalidArgument on an
+    /// empty or NaN-bearing sample. Uses a thread-local scratch —
     /// the comparator itself stays stateless and shareable across campaign
     /// worker threads.
     [[nodiscard]] double score(std::span<const double> a, std::span<const double> b,

@@ -12,6 +12,7 @@
 //! results bit-for-bit on the same platform.
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -45,7 +46,17 @@ public:
     static constexpr result_type min() noexcept { return 0; }
     static constexpr result_type max() noexcept { return ~result_type{0}; }
 
-    result_type operator()() noexcept;
+    result_type operator()() noexcept {
+        const std::uint64_t result = std::rotl(s_[0] + s_[3], 23) + s_[0];
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
     /// Equivalent to 2^128 calls of operator(); used to derive independent
     /// parallel streams from one seed.
@@ -71,14 +82,35 @@ public:
     /// Raw 64 uniform bits.
     std::uint64_t bits() noexcept { return gen_(); }
 
+    // The draws below are inline: the bootstrap comparator makes thousands
+    // per score() call, and a cross-TU call per draw costs more than the draw.
+
     /// Uniform double in [0, 1) with 53-bit resolution.
-    double uniform() noexcept;
+    double uniform() noexcept {
+        // Top 53 bits -> double in [0, 1).
+        return static_cast<double>(gen_() >> 11) * 0x1.0p-53;
+    }
 
     /// Uniform double in [lo, hi).
-    double uniform(double lo, double hi) noexcept;
+    double uniform(double lo, double hi) noexcept { return lo + (hi - lo) * uniform(); }
 
     /// Uniform integer in [0, n) without modulo bias (Lemire rejection).
-    std::uint64_t uniform_index(std::uint64_t n) noexcept;
+    std::uint64_t uniform_index(std::uint64_t n) noexcept {
+        if (n == 0) return 0;
+        // Lemire's nearly-divisionless method with rejection.
+        std::uint64_t x = gen_();
+        __uint128_t m = static_cast<__uint128_t>(x) * n;
+        auto l = static_cast<std::uint64_t>(m);
+        if (l < n) {
+            const std::uint64_t threshold = (0 - n) % n;
+            while (l < threshold) {
+                x = gen_();
+                m = static_cast<__uint128_t>(x) * n;
+                l = static_cast<std::uint64_t>(m);
+            }
+        }
+        return static_cast<std::uint64_t>(m >> 64);
+    }
 
     /// Standard normal via Box–Muller (cached second variate).
     double normal() noexcept;

@@ -1,10 +1,15 @@
 #include "core/bootstrap_comparator.hpp"
 
+#include "stats/descriptive.hpp"
 #include "stats/rng.hpp"
 #include "support/error.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace core = relperf::core;
@@ -160,28 +165,113 @@ TEST(BootstrapComparatorConfig, ValidationCatchesBadKnobs) {
     EXPECT_THROW(BootstrapComparator{cfg}, relperf::InvalidArgument);
 }
 
-TEST(BootstrapComparator, SerialAndParallelRoundsAreBitIdentical) {
-    // The resamples and quantiles are pregenerated serially and the per-round
-    // tally is an integer reduction, so OpenMP on/off must agree exactly —
-    // score by score, over many seeds. (In a serial build both configs run
-    // the same loop and the test degenerates to determinism.)
-    BootstrapComparatorConfig serial_cfg;
-    serial_cfg.rounds = 400; // 400 * 60 values clears the parallel threshold
-    serial_cfg.parallel_rounds = false;
-    BootstrapComparatorConfig parallel_cfg = serial_cfg;
-    parallel_cfg.parallel_rounds = true;
-    const BootstrapComparator serial(serial_cfg);
-    const BootstrapComparator parallel(parallel_cfg);
+namespace {
 
-    for (std::uint64_t seed = 0; seed < 50; ++seed) {
-        const auto a = lognormal_sample(1.0, 0.3, 30, seed * 2 + 1);
-        const auto b = lognormal_sample(1.05, 0.3, 30, seed * 2 + 2);
-        Rng rng_serial(seed + 1000);
-        Rng rng_parallel(seed + 1000);
-        const double s = serial.score(a, b, rng_serial);
-        const double p = parallel.score(a, b, rng_parallel);
-        EXPECT_EQ(s, p) << "seed " << seed;
+/// The value-selecting kernel the counting kernel replaced, verbatim: every
+/// round's resamples and quantile are drawn into slabs in the per-round rng
+/// order (a-resample, b-resample, quantile), then each round selects both
+/// quantiles with stats::quantile_partial and tallies its verdict.
+double slab_oracle_score(const BootstrapComparatorConfig& config,
+                         std::span<const double> a, std::span<const double> b,
+                         Rng& rng) {
+    const std::size_t rounds = config.rounds;
+    const std::size_t na = a.size();
+    const std::size_t nb = b.size();
+    std::vector<double> slab_a(rounds * na);
+    std::vector<double> slab_b(rounds * nb);
+    std::vector<double> quantiles(rounds);
+    for (std::size_t r = 0; r < rounds; ++r) {
+        double* row_a = slab_a.data() + r * na;
+        for (std::size_t i = 0; i < na; ++i) {
+            row_a[i] = a[static_cast<std::size_t>(rng.uniform_index(na))];
+        }
+        double* row_b = slab_b.data() + r * nb;
+        for (std::size_t i = 0; i < nb; ++i) {
+            row_b[i] = b[static_cast<std::size_t>(rng.uniform_index(nb))];
+        }
+        quantiles[r] = rng.uniform(config.quantile_lo, config.quantile_hi);
     }
+    long wins_a = 0;
+    long wins_b = 0;
+    for (std::size_t r = 0; r < rounds; ++r) {
+        const double q = quantiles[r];
+        const double qa = relperf::stats::quantile_partial(
+            std::span<double>(slab_a.data() + r * na, na), q);
+        const double qb = relperf::stats::quantile_partial(
+            std::span<double>(slab_b.data() + r * nb, nb), q);
+
+        const double band = config.tie_epsilon * std::min(std::fabs(qa), std::fabs(qb));
+        if (std::fabs(qa - qb) <= band) continue; // tie
+        if (qa < qb) {
+            ++wins_a; // lower is better
+        } else {
+            ++wins_b;
+        }
+    }
+    return static_cast<double>(wins_a - wins_b) / static_cast<double>(config.rounds);
+}
+
+/// n values drawn from only `levels` distinct timings, so most values tie.
+std::vector<double> tied_sample(int n, int levels, std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<double> out;
+    out.reserve(n);
+    for (int i = 0; i < n; ++i) {
+        out.push_back(1.0 + 0.01 * static_cast<double>(rng.uniform_index(levels)));
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(BootstrapComparator, CountingKernelMatchesTheSlabOracleBitForBit) {
+    // Scores and the rng state after the call must both match the slab +
+    // quantile_partial kernel exactly: every clustering, golden and cache
+    // entry depends on the comparator's stream position as well as its value.
+    struct Case {
+        int na;
+        int nb;
+    };
+    const Case sizes[] = {{1, 1}, {1, 3}, {2, 2}, {3, 7}, {7, 2},
+                          {30, 30}, {30, 17}, {100, 257}, {257, 100}};
+    const std::pair<double, double> quantile_bounds[] = {
+        {0.35, 0.65}, {0.0, 0.0}, {1.0, 1.0}};
+    const std::size_t round_counts[] = {1, 100, 400};
+
+    // The seed's mixed-radix digits pick the case, so 324 seeds run every
+    // size x bounds x rounds x tied combination twice: once with the default
+    // tie band and once with none, where every quantile difference counts.
+    core::BootstrapScratch scratch;
+    for (std::uint64_t seed = 0; seed < 324; ++seed) {
+        const Case& size = sizes[seed % 9];
+        const auto& [q_lo, q_hi] = quantile_bounds[(seed / 9) % 3];
+        BootstrapComparatorConfig config;
+        config.rounds = round_counts[(seed / 27) % 3];
+        config.quantile_lo = q_lo;
+        config.quantile_hi = q_hi;
+        config.tie_epsilon = seed < 162 ? 0.02 : 0.0;
+        const bool tied = (seed / 81) % 2 == 0;
+        const auto a = tied ? tied_sample(size.na, 3, seed * 2 + 1)
+                            : lognormal_sample(1.0, 0.1, size.na, seed * 2 + 1);
+        const auto b = tied ? tied_sample(size.nb, 4, seed * 2 + 2)
+                            : lognormal_sample(1.02, 0.1, size.nb, seed * 2 + 2);
+
+        Rng rng_kernel(seed + 1000);
+        Rng rng_oracle(seed + 1000);
+        const double kernel = BootstrapComparator(config).score(a, b, rng_kernel, scratch);
+        const double oracle = slab_oracle_score(config, a, b, rng_oracle);
+        EXPECT_EQ(kernel, oracle) << "seed " << seed;
+        EXPECT_EQ(rng_kernel.bits(), rng_oracle.bits()) << "seed " << seed;
+    }
+}
+
+TEST(BootstrapComparator, NaNSamplesThrow) {
+    const std::vector<double> xs = {1.0, 2.0, 3.0};
+    const std::vector<double> with_nan = {1.0, std::nan(""), 3.0};
+    const BootstrapComparator cmp;
+    Rng rng(22);
+    EXPECT_THROW((void)cmp.score(with_nan, xs, rng), relperf::InvalidArgument);
+    EXPECT_THROW((void)cmp.score(xs, with_nan, rng), relperf::InvalidArgument);
 }
 
 TEST(BootstrapComparator, CallerOwnedScratchMatchesThreadLocalPath) {

@@ -181,3 +181,79 @@ TEST(Rng, ChildIsDeterministic) {
     Rng b = parent.child(7);
     for (int i = 0; i < 50; ++i) EXPECT_EQ(a.bits(), b.bits());
 }
+
+namespace {
+
+/// The first outputs of each draw, recorded from the stream as first
+/// released, under two seeds: the second is the generator's default. Every
+/// seeded result in relperf (measurements, scores, clusterings, goldens)
+/// depends on this stream not drifting.
+constexpr std::uint64_t kSeeds[] = {42, 0x853c49e6748fea9bULL};
+
+} // namespace
+
+TEST(Xoshiro, KnownSequences) {
+    const std::uint64_t expected[2][8] = {
+        {0xd0764d4f4476689fULL, 0x519e4174576f3791ULL, 0xfbe07cfb0c24ed8cULL,
+         0xb37d9f600cd835b8ULL, 0xcb231c3874846a73ULL, 0x968d9f004e50de7dULL,
+         0x201718ff221a3556ULL, 0x9ae94e070ed8cb46ULL},
+        {0x4045deb82e7b587bULL, 0x3accf928c48d641eULL, 0xd35d0e6ebd47b807ULL,
+         0x6f39e5822134ff3fULL, 0xbe4d2994a59740e1ULL, 0xb26a2492460ab9bbULL,
+         0x7d06b3f4dd1cc745ULL, 0xaab765f91b68a10fULL}};
+    for (int s = 0; s < 2; ++s) {
+        Xoshiro256pp gen(kSeeds[s]);
+        for (int i = 0; i < 8; ++i) EXPECT_EQ(gen(), expected[s][i]) << s << ":" << i;
+    }
+}
+
+TEST(Rng, UniformKnownSequences) {
+    const double unit[2][8] = {
+        {0x1.a0ec9a9e88ecdp-1, 0x1.467905d15dbccp-2, 0x1.f7c0f9f61849dp-1,
+         0x1.66fb3ec019b06p-1, 0x1.96463870e908dp-1, 0x1.2d1b3e009ca1bp-1,
+         0x1.00b8c7f910d18p-3, 0x1.35d29c0e1db19p-1},
+        {0x1.01177ae0b9ed6p-2, 0x1.d667c946246bp-3, 0x1.a6ba1cdd7a8f7p-1,
+         0x1.bce7960884d3ep-2, 0x1.7c9a53294b2e8p-1, 0x1.64d449248c157p-1,
+         0x1.f41acfd37473p-2, 0x1.556ecbf236d14p-1}};
+    const double two_three[2][8] = {
+        {0x1.683b26a7a23b3p+1, 0x1.28cf20ba2bb7ap+1, 0x1.7df03e7d86127p+1,
+         0x1.59becfb0066c2p+1, 0x1.65918e1c3a423p+1, 0x1.4b46cf8027287p+1,
+         0x1.100b8c7f910d2p+1, 0x1.4d74a703876c6p+1},
+        {0x1.2022ef5c173dbp+1, 0x1.1d667c946246bp+1, 0x1.69ae87375ea3ep+1,
+         0x1.379cf2c1109a8p+1, 0x1.5f2694ca52cbap+1, 0x1.5935124923056p+1,
+         0x1.3e8359fa6e8e6p+1, 0x1.555bb2fc8db45p+1}};
+    for (int s = 0; s < 2; ++s) {
+        Rng a(kSeeds[s]);
+        Rng b(kSeeds[s]);
+        for (int i = 0; i < 8; ++i) {
+            EXPECT_EQ(a.uniform(), unit[s][i]) << s << ":" << i;
+            EXPECT_EQ(b.uniform(2.0, 3.0), two_three[s][i]) << s << ":" << i;
+        }
+    }
+}
+
+TEST(Rng, UniformIndexKnownSequences) {
+    const std::uint64_t bounds[] = {1, 7, 30, (std::uint64_t{1} << 40) + 3};
+    const std::uint64_t expected[2][4][8] = {
+        {{0, 0, 0, 0, 0, 0, 0, 0},
+         {5, 2, 6, 4, 5, 4, 0, 4},
+         {24, 9, 29, 21, 23, 17, 3, 18},
+         {895337975622ULL, 350547440728ULL, 1081803078415ULL, 770906742798ULL,
+          872467413110ULL, 646621102160ULL, 137826467618ULL, 665339168528ULL}},
+        {{0, 0, 0, 0, 0, 0, 0, 0},
+         {1, 1, 5, 3, 5, 4, 3, 4},
+         {7, 6, 24, 13, 22, 20, 14, 20},
+         {276050130991ULL, 252546984133ULL, 907799326399ULL, 477712712226ULL,
+          817338356903ULL, 766284960328ULL, 536983368926ULL, 733221353757ULL}}};
+    // The word after the eighth draw pins how many words the draws consumed.
+    const std::uint64_t next_bits[2] = {0x352cf3daf095ccc7ULL, 0x436afe2a6a2a581fULL};
+    for (int s = 0; s < 2; ++s) {
+        for (int k = 0; k < 4; ++k) {
+            Rng rng(kSeeds[s]);
+            for (int i = 0; i < 8; ++i) {
+                EXPECT_EQ(rng.uniform_index(bounds[k]), expected[s][k][i])
+                    << s << ":" << bounds[k] << ":" << i;
+            }
+            EXPECT_EQ(rng.bits(), next_bits[s]) << s << ":" << bounds[k];
+        }
+    }
+}

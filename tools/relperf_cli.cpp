@@ -155,14 +155,16 @@ void apply_adaptive_overrides(const support::CliParser& cli,
 
 /// Prints what adaptive early stopping saved against the fixed-N plan and
 /// optionally writes the per-algorithm sample counts CSV (the CI artifact).
-/// The savings line reads the metrics registry — the same counters the
-/// --metrics dump exposes — so the printed number and the exported
-/// relperf_samples_total can never drift apart. Measuring modes feed the
-/// counters from the engine; --merge feeds them at shard ingest.
+/// The savings line of a measuring or merging run reads the metrics registry
+/// — the same counters the --metrics dump exposes — so the printed number
+/// and the exported relperf_samples_total can never drift apart. Measuring
+/// modes feed the counters from the engine; --merge feeds them at shard
+/// ingest. An exact cache hit draws nothing and feeds neither, so its line
+/// counts the served set the way --merge counts a shard.
 void report_adaptive(const campaign::CampaignSpec& spec,
                      const core::MeasurementSet& measurements,
                      const std::optional<std::string>& samples_csv,
-                     std::size_t cache_saved = 0) {
+                     std::size_t cache_saved = 0, bool exact_hit = false) {
     if (samples_csv) {
         support::CsvWriter csv(*samples_csv, {"algorithm", "samples"});
         for (std::size_t i = 0; i < measurements.size(); ++i) {
@@ -174,10 +176,13 @@ void report_adaptive(const campaign::CampaignSpec& spec,
     }
     if (spec.adaptive()) {
         const obs::Metrics& m = obs::metrics();
+        const std::size_t total = exact_hit ? measurements.total_samples()
+                                            : m.samples_total.value();
+        const std::size_t fixed_n =
+            exact_hit ? measurements.size() * spec.measurements
+                      : m.samples_fixed_n_total.value();
         std::printf("adaptive: %s\n",
-                    core::render_savings(m.samples_total.value(),
-                                         m.samples_fixed_n_total.value())
-                        .c_str());
+                    core::render_savings(total, fixed_n).c_str());
     }
     // Measurement cost the result cache absorbed on top of (and
     // independently of) the adaptive savings: samples_total above already
@@ -387,7 +392,7 @@ int campaign_run(const campaign::CampaignSpec& spec, std::size_t shard_count,
                     merged_csv->c_str());
     }
     report_adaptive(spec, result.measurements, samples_csv,
-                    run.samples_from_cache);
+                    run.samples_from_cache, run.cache == cache::HitKind::Exact);
     report_analysis(result, out_path);
     return 0;
 }
