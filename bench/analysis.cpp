@@ -1,7 +1,7 @@
 //! Analysis hot paths at scale: comparator score ns/op (against an in-bench
 //! reproduction of the pre-scratch two-full-sorts implementation), clusterer
-//! wall time vs p (sparse tallies, with the dense O(p^2) oracle at small p),
-//! the adaptive engine end to end, coordinated-stopping sample budgets vs shard count for both stopping
+//! wall time vs p (sparse rank tallies), the adaptive engine end to end,
+//! coordinated-stopping sample budgets vs shard count for both stopping
 //! rules, and the result cache's cold/exact-hit/prefix-extension run costs.
 //! This bench times its own loops with steady_clock (allowlisted in
 //! ci/lint_allow.txt); nothing here feeds measurement CSVs.
@@ -211,7 +211,7 @@ int main(int argc, char** argv) {
         rows.push_back({"comparator", "speedup", param, speedup});
     }
 
-    // --- Section 2: clusterer wall time vs p (sparse, dense at small p). --
+    // --- Section 2: clusterer wall time vs p. ----------------------------
     bench::section("Clusterer wall time vs p (Rep = 4, rounds = 10)");
     {
         core::BootstrapComparatorConfig cheap = comparator_config;
@@ -223,27 +223,13 @@ int main(int argc, char** argv) {
             const core::RelativeClusterer clusterer(
                 comparator, core::ClustererConfig{4, seed + 7});
 
-            auto start = std::chrono::steady_clock::now();
+            const auto start = std::chrono::steady_clock::now();
             const core::Clustering sparse = clusterer.cluster(set);
             const double sparse_ms = seconds_since(start) * 1e3;
             checksum += sparse.final_assignment[0].score;
             rows.push_back({"clusterer", "sparse_wall_ms",
                             "p=" + std::to_string(p), sparse_ms});
-
-            if (p <= 256) { // the dense oracle's p^2 matrix stays affordable
-                start = std::chrono::steady_clock::now();
-                const core::Clustering dense = clusterer.cluster_dense(set);
-                const double dense_ms = seconds_since(start) * 1e3;
-                checksum += dense.final_assignment[0].score;
-                rows.push_back({"clusterer", "dense_wall_ms",
-                                "p=" + std::to_string(p), dense_ms});
-                std::printf("  p = %5zu : sparse %8.1f ms   dense %8.1f ms\n",
-                            p, sparse_ms, dense_ms);
-            } else {
-                std::printf("  p = %5zu : sparse %8.1f ms   dense (skipped, "
-                            "O(p^2) memory)\n",
-                            p, sparse_ms);
-            }
+            std::printf("  p = %5zu : sparse %8.1f ms\n", p, sparse_ms);
         }
     }
 

@@ -9,16 +9,12 @@
 
 namespace relperf::cache {
 
-bool cacheable(const campaign::CampaignSpec& spec, std::size_t shard_count) {
-    return !spec.stops_depend_on_k(shard_count);
-}
-
 CachedRunResult run_campaign_cached(const campaign::CampaignSpec& spec,
                                     ResultCache& cache,
                                     std::size_t shard_count,
                                     std::size_t workers) {
     spec.validate();
-    if (!cacheable(spec, shard_count)) {
+    if (spec.stops_depend_on_k(shard_count)) {
         // Not addressable by the plan hash: neither served nor stored.
         CachedRunResult out;
         out.analysis = campaign::run_campaign(spec, shard_count, workers);

@@ -37,8 +37,9 @@ namespace relperf::cache {
 struct CachedRunResult {
     core::AnalysisResult analysis;
     HitKind cache = HitKind::Miss; ///< Lookup tier that produced `analysis`.
-    /// True when the plan is not cacheable under the requested shard count
-    /// (shard-local adaptive with K > 1) — the run went straight through.
+    /// True when the plan's stop decisions depend on the requested shard
+    /// count (shard-local adaptive with K > 1, see
+    /// CampaignSpec::stops_depend_on_k): the run went straight through.
     bool bypassed = false;
     /// Samples served from the cache instead of the executor (all of them on
     /// an exact hit, the reused prefix on an extension, 0 on a miss).
@@ -49,15 +50,10 @@ struct CachedRunResult {
     std::size_t rounds = 0; ///< Coordinator rounds (coordinated plans only).
 };
 
-/// True when `spec` run with `shard_count` shards (0 = spec.shards) yields a
-/// K-invariant result the cache may serve and store:
-/// !spec.stops_depend_on_k(shard_count).
-[[nodiscard]] bool cacheable(const campaign::CampaignSpec& spec,
-                             std::size_t shard_count);
-
 /// campaign::run_campaign with the cache consulted first. A disabled cache
-/// (empty dir) measures exactly as a miss does, without storing. `workers`
-/// only affects uncacheable plans, the ones run_campaign runs per shard.
+/// (empty dir) measures exactly as a miss does, without storing.
+/// shard_count = 0 uses spec.shards. `workers` only affects plans whose
+/// stops depend on K, the ones run_campaign runs per shard.
 [[nodiscard]] CachedRunResult run_campaign_cached(
     const campaign::CampaignSpec& spec, ResultCache& cache,
     std::size_t shard_count = 0, std::size_t workers = 1);

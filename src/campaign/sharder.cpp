@@ -29,13 +29,6 @@ ShardPlan Sharder::plan(std::size_t shard_index) const {
     return out;
 }
 
-std::vector<ShardPlan> Sharder::all_plans() const {
-    std::vector<ShardPlan> out;
-    out.reserve(shard_count_);
-    for (std::size_t i = 0; i < shard_count_; ++i) out.push_back(plan(i));
-    return out;
-}
-
 std::size_t Sharder::owner_of(std::size_t assignment_index) const {
     RELPERF_REQUIRE(assignment_index < assignment_count_,
                     "Sharder: assignment index out of range");

@@ -10,65 +10,6 @@
 
 namespace relperf::core {
 
-namespace {
-
-/// Shared by the sparse and dense tally paths: turns max_rank_seen plus a
-/// callback yielding one algorithm's ascending (rank, count) pairs into the
-/// final Clustering (clusters, memberships, final assignment). Keeping one
-/// builder guarantees the two paths cannot drift apart in the score
-/// arithmetic or the tie rules.
-template <typename PerAlgRankCounts>
-Clustering build_clustering(std::size_t p, std::size_t repetitions,
-                            int max_rank_seen,
-                            const PerAlgRankCounts& rank_counts_of) {
-    Clustering out;
-    out.repetitions = repetitions;
-    out.clusters.resize(static_cast<std::size_t>(max_rank_seen));
-    out.memberships.resize(p);
-
-    // Relative scores (Procedure 4 lines 10-12).
-    const double rep = static_cast<double>(repetitions);
-    for (std::size_t alg = 0; alg < p; ++alg) {
-        for (const auto& [rank, w] : rank_counts_of(alg)) {
-            const double score = static_cast<double>(w) / rep;
-            out.clusters[static_cast<std::size_t>(rank - 1)].push_back(
-                ClusterEntry{alg, score});
-            out.memberships[alg].push_back(RankScore{rank, score});
-        }
-    }
-    for (auto& cluster : out.clusters) {
-        std::sort(cluster.begin(), cluster.end(),
-                  [](const ClusterEntry& a, const ClusterEntry& b) {
-                      if (a.score != b.score) return a.score > b.score;
-                      return a.alg < b.alg;
-                  });
-    }
-
-    // Final unique assignment (Sec. III): max-score rank, ties towards the
-    // better rank, score cumulated over better-or-equal ranks.
-    out.final_assignment.resize(p);
-    for (std::size_t alg = 0; alg < p; ++alg) {
-        int best_rank = 1;
-        std::size_t best_count = 0;
-        for (const auto& [rank, w] : rank_counts_of(alg)) {
-            if (w > best_count) {
-                best_count = w;
-                best_rank = rank;
-            }
-        }
-        RELPERF_ASSERT(best_count > 0, "RelativeClusterer: algorithm never ranked");
-        double cumulated = 0.0;
-        for (const auto& [rank, w] : rank_counts_of(alg)) {
-            if (rank > best_rank) break; // ascending rank order
-            cumulated += static_cast<double>(w) / rep;
-        }
-        out.final_assignment[alg] = FinalAssignment{alg, best_rank, cumulated};
-    }
-    return out;
-}
-
-} // namespace
-
 double Clustering::score_of(std::size_t alg, int rank) const {
     RELPERF_REQUIRE(alg < final_assignment.size(),
                     "Clustering: algorithm out of range");
@@ -170,49 +111,51 @@ Clustering RelativeClusterer::cluster(const MeasurementSet& measurements) const 
         std::sort(per_alg.begin(), per_alg.end(),
                   [](const auto& a, const auto& b) { return a.first < b.first; });
     }
-    return build_clustering(p, config_.repetitions, max_rank_seen,
-                            [&counts](std::size_t alg) -> const auto& {
-                                return counts[alg];
-                            });
-}
 
-Clustering RelativeClusterer::cluster_dense(const MeasurementSet& measurements) const {
-    RELPERF_REQUIRE(!measurements.empty(), "RelativeClusterer: no algorithms");
-    const std::size_t p = measurements.size();
-    const stats::Rng master(config_.seed);
+    Clustering out;
+    out.repetitions = config_.repetitions;
+    out.clusters.resize(static_cast<std::size_t>(max_rank_seen));
+    out.memberships.resize(p);
 
-    // The original dense tally: counts[alg][rank-1], O(p^2) memory.
-    std::vector<std::vector<std::size_t>> counts(p, std::vector<std::size_t>(p, 0));
-    int max_rank_seen = 0;
-
-    for (std::size_t rep = 0; rep < config_.repetitions; ++rep) {
-        stats::Rng rng = master.child(rep);
-        std::vector<std::size_t> order(p);
-        std::iota(order.begin(), order.end(), std::size_t{0});
-        rng.shuffle(order);
-        const RankedSequence seq = sort_once(measurements, std::move(order), rng);
-        for (std::size_t pos = 0; pos < p; ++pos) {
-            const int rank = seq.ranks[pos];
-            RELPERF_ASSERT(rank >= 1 && rank <= static_cast<int>(p),
-                           "RelativeClusterer: rank out of range");
-            ++counts[seq.order[pos]][static_cast<std::size_t>(rank - 1)];
-            max_rank_seen = std::max(max_rank_seen, rank);
+    // Relative scores (Procedure 4 lines 10-12).
+    const double reps = static_cast<double>(config_.repetitions);
+    for (std::size_t alg = 0; alg < p; ++alg) {
+        for (const auto& [rank, w] : counts[alg]) {
+            const double score = static_cast<double>(w) / reps;
+            out.clusters[static_cast<std::size_t>(rank - 1)].push_back(
+                ClusterEntry{alg, score});
+            out.memberships[alg].push_back(RankScore{rank, score});
         }
     }
+    for (auto& cluster : out.clusters) {
+        std::sort(cluster.begin(), cluster.end(),
+                  [](const ClusterEntry& a, const ClusterEntry& b) {
+                      if (a.score != b.score) return a.score > b.score;
+                      return a.alg < b.alg;
+                  });
+    }
 
-    // Adapt the dense rows to the ascending sparse view the builder expects.
-    std::vector<std::pair<int, std::size_t>> row;
-    return build_clustering(
-        p, config_.repetitions, max_rank_seen,
-        [&counts, &row, max_rank_seen](std::size_t alg) -> const auto& {
-            row.clear();
-            for (int rank = 1; rank <= max_rank_seen; ++rank) {
-                const std::size_t w =
-                    counts[alg][static_cast<std::size_t>(rank - 1)];
-                if (w > 0) row.emplace_back(rank, w);
+    // Final unique assignment (Sec. III): max-score rank, ties towards the
+    // better rank, score cumulated over better-or-equal ranks.
+    out.final_assignment.resize(p);
+    for (std::size_t alg = 0; alg < p; ++alg) {
+        int best_rank = 1;
+        std::size_t best_count = 0;
+        for (const auto& [rank, w] : counts[alg]) {
+            if (w > best_count) {
+                best_count = w;
+                best_rank = rank;
             }
-            return row;
-        });
+        }
+        RELPERF_ASSERT(best_count > 0, "RelativeClusterer: algorithm never ranked");
+        double cumulated = 0.0;
+        for (const auto& [rank, w] : counts[alg]) {
+            if (rank > best_rank) break; // ascending rank order
+            cumulated += static_cast<double>(w) / reps;
+        }
+        out.final_assignment[alg] = FinalAssignment{alg, best_rank, cumulated};
+    }
+    return out;
 }
 
 } // namespace relperf::core

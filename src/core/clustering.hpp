@@ -21,7 +21,7 @@
 //! min(Rep, cluster-count) distinct ranks, so the rank tallies are kept as
 //! per-algorithm sparse (rank, count) lists — O(p * Rep) peak memory instead
 //! of the dense p x p counts matrix (32 GiB at the 65536-variant cap). The
-//! dense tally survives as cluster_dense(), the memory-hungry oracle the
+//! dense tally lives on as a tests-only oracle (tests/testlib) that the
 //! equivalence tests assert bit-identical results against.
 
 #include "core/comparison.hpp"
@@ -94,11 +94,6 @@ public:
     RelativeClusterer(const Comparator& comparator, ClustererConfig config = {});
 
     [[nodiscard]] Clustering cluster(const MeasurementSet& measurements) const;
-
-    /// The pre-scale reference implementation with the dense p x p counts
-    /// matrix — O(p^2) memory, kept only as the oracle the sparse path is
-    /// equivalence-tested against. Do not use beyond small p.
-    [[nodiscard]] Clustering cluster_dense(const MeasurementSet& measurements) const;
 
     /// Single sort pass (one repetition) from a given initial order; exposed
     /// for diagnostics and the Figure 2 bench.

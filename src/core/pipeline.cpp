@@ -53,27 +53,6 @@ MeasurementSet measure_assignments_real(
     return measure_all(source, n);
 }
 
-MeasurementSet measure_variants(
-    const sim::SimulatedExecutor& executor, const workloads::TaskChain& chain,
-    const std::vector<workloads::VariantAssignment>& variants, std::size_t n,
-    stats::Rng& rng) {
-    RELPERF_REQUIRE(!variants.empty(), "measure_variants: no variants");
-    SimSampleSource source(executor, chain, variants, child_streams(rng));
-    obs::metrics().samples_fixed_n_total.inc(variants.size() * n);
-    return measure_all(source, n);
-}
-
-MeasurementSet measure_variants_real(
-    const sim::RealExecutor& executor, const workloads::TaskChain& chain,
-    const std::vector<workloads::VariantAssignment>& variants, std::size_t n,
-    stats::Rng& rng, std::size_t warmup) {
-    RELPERF_REQUIRE(!variants.empty(), "measure_variants_real: no variants");
-    RealSampleSource source(executor, chain, variants, child_streams(rng),
-                            warmup);
-    obs::metrics().samples_fixed_n_total.inc(variants.size() * n);
-    return measure_all(source, n);
-}
-
 AnalysisResult analyze_source(SampleSource& source,
                               const AnalysisConfig& config,
                               const RoundObserver& on_round) {

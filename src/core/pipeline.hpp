@@ -10,9 +10,9 @@
 //! between fixed N (measure_all, then one clustering) and the adaptive
 //! MeasurementEngine (AnalysisConfig::adaptive). analyze_chain and every
 //! one-host campaign that measures once (campaign::measure_campaign: plain,
-//! coordinated, cached) call it. The measure_* functions below are thin wrappers over measure_all,
-//! kept for their historical signatures; their output is bit-identical to
-//! the pre-engine batch loops.
+//! coordinated, cached) call it. measure_assignments and
+//! measure_assignments_real measure a fixed N over measure_all without
+//! clustering; their output is bit-identical to the pre-engine batch loops.
 
 #include "core/bootstrap_comparator.hpp"
 #include "core/clustering.hpp"
@@ -57,21 +57,6 @@ namespace relperf::core {
 [[nodiscard]] MeasurementSet measure_assignments_real(
     const sim::RealExecutor& executor, const workloads::TaskChain& chain,
     const std::vector<workloads::DeviceAssignment>& assignments, std::size_t n,
-    stats::Rng& rng, std::size_t warmup = 1);
-
-/// As measure_assignments, over per-task placement×backend variants. A
-/// variant at position i runs on the identical RNG stream a plain assignment
-/// at position i would — the sharding contract does not care which axis the
-/// algorithm list enumerates.
-[[nodiscard]] MeasurementSet measure_variants(
-    const sim::SimulatedExecutor& executor, const workloads::TaskChain& chain,
-    const std::vector<workloads::VariantAssignment>& variants, std::size_t n,
-    stats::Rng& rng);
-
-/// As measure_assignments_real, over variants.
-[[nodiscard]] MeasurementSet measure_variants_real(
-    const sim::RealExecutor& executor, const workloads::TaskChain& chain,
-    const std::vector<workloads::VariantAssignment>& variants, std::size_t n,
     stats::Rng& rng, std::size_t warmup = 1);
 
 /// Analysis configuration bundling the paper's N and Rep with the comparator

@@ -283,10 +283,10 @@ TEST_F(CacheTest, ShardLocalAdaptiveWithMultipleShardsBypasses) {
     // Shard-local adaptive counts depend on K, which the plan hash excludes:
     // serving such a run cross-K would silently change results.
     const campaign::CampaignSpec spec = adaptive_spec();
-    EXPECT_TRUE(cache::cacheable(small_spec(), 4));
-    EXPECT_TRUE(cache::cacheable(spec, 1));
-    EXPECT_TRUE(cache::cacheable(coordinated_spec(), 4));
-    EXPECT_FALSE(cache::cacheable(spec, 2));
+    EXPECT_FALSE(small_spec().stops_depend_on_k(4));
+    EXPECT_FALSE(spec.stops_depend_on_k(1));
+    EXPECT_FALSE(coordinated_spec().stops_depend_on_k(4));
+    EXPECT_TRUE(spec.stops_depend_on_k(2));
 
     cache::ResultCache result_cache = make_cache();
     const cache::CachedRunResult run =

@@ -502,7 +502,8 @@ TEST(CampaignCoordinated, MergeRejectsMismatchedCoordinationPlans) {
     // coordinated plan and the broadcast history.
     const campaign::Sharder sharder(coord.analysis.measurements.size(), 2);
     std::vector<campaign::ShardResult> sliced;
-    for (const campaign::ShardPlan& plan : sharder.all_plans()) {
+    for (std::size_t i = 0; i < sharder.shard_count(); ++i) {
+        const campaign::ShardPlan plan = sharder.plan(i);
         campaign::ShardResult shard;
         for (const std::size_t index : plan.assignment_indices) {
             const auto samples = coord.analysis.measurements.samples(index);

@@ -5,6 +5,7 @@
 
 #include "campaign/campaign.hpp"
 
+#include "core/measurement_engine.hpp"
 #include "core/pipeline.hpp"
 #include "sim/analytic.hpp"
 #include "sim/executor.hpp"
@@ -123,13 +124,16 @@ TEST(VariantCampaign, RunShardRejectsUnavailableAxisBackends) {
 TEST(VariantCampaign, ShardedMergeIsBitIdenticalToSingleProcess) {
     const campaign::CampaignSpec spec = variant_spec();
 
-    // Reference: direct single-process measurement of the variant list.
-    const workloads::TaskChain chain = spec.chain();
+    // Reference: direct single-process measurement of the variant list,
+    // variant i on the master rng's child stream i.
     const sim::AnalyticCostModel model(campaign::platform_preset(spec.platform));
     const sim::SimulatedExecutor executor(model, sim::NoiseModel{});
-    relperf::stats::Rng rng(spec.measurement_seed);
-    const core::MeasurementSet direct = core::measure_variants(
-        executor, chain, spec.variants(), spec.measurements, rng);
+    const relperf::stats::Rng rng(spec.measurement_seed);
+    core::SimSampleSource source(
+        executor, spec.chain(), spec.variants(),
+        [&rng](std::size_t index) { return rng.child(index); });
+    const core::MeasurementSet direct =
+        core::measure_all(source, spec.measurements);
 
     for (const std::size_t shards : {std::size_t{1}, std::size_t{3},
                                      std::size_t{5}}) {

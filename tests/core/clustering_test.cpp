@@ -1,6 +1,7 @@
 #include "core/clustering.hpp"
 
 #include "core/bootstrap_comparator.hpp"
+#include "core/dense_clustering.hpp"
 #include "support/error.hpp"
 
 #include <gtest/gtest.h>
@@ -77,15 +78,16 @@ private:
 /// p algorithms with overlapping noisy distributions — enough class overlap
 /// that the bootstrap comparator's stochastic outcomes split scores across
 /// several ranks.
-MeasurementSet overlapping_set(std::size_t p, std::uint64_t seed) {
+MeasurementSet overlapping_set(std::size_t p, std::uint64_t seed,
+                               double tier_gap = 0.25, double noise = 0.05) {
     Rng rng(seed);
     MeasurementSet set;
     for (std::size_t i = 0; i < p; ++i) {
-        const double base = 1.0 + 0.25 * static_cast<double>(i % 7);
+        const double base = 1.0 + tier_gap * static_cast<double>(i % 7);
         std::vector<double> samples;
         samples.reserve(5);
         for (int k = 0; k < 5; ++k) {
-            samples.push_back(base * (1.0 + 0.05 * rng.uniform(-1.0, 1.0)));
+            samples.push_back(base * (1.0 + noise * rng.uniform(-1.0, 1.0)));
         }
         set.add("alg" + std::to_string(i), std::move(samples));
     }
@@ -311,17 +313,23 @@ TEST(Clustering, ScoreOfIndexMatchesClusterScanFallback) {
 }
 
 TEST(RelativeClusterer, SparseMatchesDenseOracleBitForBit) {
-    // The tentpole claim: the sparse per-algorithm rank tallies produce the
-    // exact Clustering of the dense p x p counts matrix, across trivial,
-    // minimal, stochastic and wide inputs.
+    // The sparse per-algorithm rank tallies produce the exact Clustering of
+    // the dense p x p counts matrix, across trivial, minimal, stochastic and
+    // wide inputs. The oracle (testlib) shares only sort_once with cluster():
+    // its scores, cluster order and final-assignment tie rule are its own.
+    // The second input crowds the tiers so that an algorithm's most frequent
+    // ranks often tie (at p = 17 and 256), which exercises the tie rule.
     for (const std::size_t p : {std::size_t{1}, std::size_t{2}, std::size_t{17},
                                 std::size_t{256}}) {
         SCOPED_TRACE("p = " + std::to_string(p));
-        const MeasurementSet set = overlapping_set(p, 11 + p);
         const core::BootstrapComparator cmp(
             core::BootstrapComparatorConfig{.rounds = 20});
         const std::size_t reps = p >= 256 ? 4 : 25;
-        const RelativeClusterer clusterer(cmp, ClustererConfig{reps, 42});
-        expect_identical(clusterer.cluster(set), clusterer.cluster_dense(set));
+        const ClustererConfig config{reps, 42};
+        for (const MeasurementSet& set :
+             {overlapping_set(p, 11 + p), overlapping_set(p, 11 + p, 0.10, 0.15)}) {
+            expect_identical(RelativeClusterer(cmp, config).cluster(set),
+                             relperf::test::cluster_dense(cmp, config, set));
+        }
     }
 }

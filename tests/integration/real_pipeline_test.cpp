@@ -21,6 +21,14 @@ TEST(RealPipeline, SingleLoopOffloadClustering) {
     // The accelerator ("A") must win on a big enough kernel, and the
     // pipeline must put algA in a class at least as good as algD.
     //
+    // The task is a GEMM loop (the paper's Figure 1a kernel), about 3x
+    // faster on 4 threads. An RLS loop parallelizes only its Gram and GEMM
+    // steps (the Cholesky factor and the triangular solves run serially), so
+    // its 1-thread/4-thread ratio stays near 1.3 at every size, and CPU
+    // steal on a shared host can flip it. Size 512 with 4 iterations keeps
+    // each A sample near 0.08 s, so a preempted-thread outlier of a few
+    // tenths of a second cannot flip the means either.
+    //
     // On a single-threaded machine (or a serial build) "all threads" equals
     // one thread, both devices run identical code, and the strict speedup
     // below is decided by scheduler noise — the premise doesn't hold there.
@@ -28,8 +36,10 @@ TEST(RealPipeline, SingleLoopOffloadClustering) {
         GTEST_SKIP() << "accelerator cannot outrun the edge device with "
                         "only one hardware thread";
     }
-    const workloads::TaskChain chain =
-        workloads::make_rls_chain({192}, 2, "one-task");
+    workloads::TaskChain chain;
+    chain.name = "one-task";
+    chain.tasks.push_back(workloads::TaskSpec{
+        "L1", workloads::TaskKind::GemmLoop, 512, 4, std::nullopt});
     const sim::RealExecutor executor(sim::EmulatedDevice{1, 0.0, 0.0},
                                      sim::EmulatedDevice{0, 0.0, 0.0});
     Rng rng(1);

@@ -3,7 +3,7 @@
 //! 1.0-multiplier backends, and per-task ScopedBackend selection in the
 //! RealExecutor (verified through a registered counting backend).
 
-#include "core/pipeline.hpp"
+#include "core/measurement_engine.hpp"
 #include "linalg/backend.hpp"
 #include "sim/analytic.hpp"
 #include "sim/executor.hpp"
@@ -222,8 +222,8 @@ TEST(RealExecutor, PerTaskPolicyOverridesChainDefault) {
 }
 
 TEST(RealExecutor, MeasureVariantsRealUsesPerVariantStreams) {
-    // The variant batch API mirrors measure_assignments_real: one stream per
-    // variant position, names from alg_name(), n samples each.
+    // A variant batch measures like measure_assignments_real: one stream
+    // per variant position, names from alg_name(), n samples each.
     const sim::RealExecutor exec(sim::EmulatedDevice{1, 0.0, 0.0},
                                  sim::EmulatedDevice{1, 0.0, 0.0});
     const workloads::TaskChain chain =
@@ -232,9 +232,12 @@ TEST(RealExecutor, MeasureVariantsRealUsesPerVariantStreams) {
         VariantAssignment("D:portable,D:reference"),
         VariantAssignment("DA"),
     };
-    Rng rng(11);
+    const Rng rng(11);
+    relperf::core::RealSampleSource source(
+        exec, chain, variants,
+        [&rng](std::size_t index) { return rng.child(index); }, 0);
     const relperf::core::MeasurementSet set =
-        relperf::core::measure_variants_real(exec, chain, variants, 3, rng, 0);
+        relperf::core::measure_all(source, 3);
     ASSERT_EQ(set.size(), 2u);
     EXPECT_TRUE(set.contains("algD:portable,D:reference"));
     EXPECT_TRUE(set.contains("algDA"));

@@ -155,16 +155,14 @@ void apply_adaptive_overrides(const support::CliParser& cli,
 
 /// Prints what adaptive early stopping saved against the fixed-N plan and
 /// optionally writes the per-algorithm sample counts CSV (the CI artifact).
-/// The savings line of a measuring or merging run reads the metrics registry
-/// — the same counters the --metrics dump exposes — so the printed number
-/// and the exported relperf_samples_total can never drift apart. Measuring
-/// modes feed the counters from the engine; --merge feeds them at shard
-/// ingest. An exact cache hit draws nothing and feeds neither, so its line
-/// counts the served set the way --merge counts a shard.
+/// The savings line counts the result set itself: its samples against
+/// size() * spec.measurements. Every mode reports alike, whether the samples
+/// were drawn here, read from shard files or served by the cache, so a
+/// cached run prints what a cold run of the same plan prints.
 void report_adaptive(const campaign::CampaignSpec& spec,
                      const core::MeasurementSet& measurements,
                      const std::optional<std::string>& samples_csv,
-                     std::size_t cache_saved = 0, bool exact_hit = false) {
+                     std::size_t cache_saved = 0) {
     if (samples_csv) {
         support::CsvWriter csv(*samples_csv, {"algorithm", "samples"});
         for (std::size_t i = 0; i < measurements.size(); ++i) {
@@ -175,18 +173,14 @@ void report_adaptive(const campaign::CampaignSpec& spec,
                     samples_csv->c_str());
     }
     if (spec.adaptive()) {
-        const obs::Metrics& m = obs::metrics();
-        const std::size_t total = exact_hit ? measurements.total_samples()
-                                            : m.samples_total.value();
-        const std::size_t fixed_n =
-            exact_hit ? measurements.size() * spec.measurements
-                      : m.samples_fixed_n_total.value();
         std::printf("adaptive: %s\n",
-                    core::render_savings(total, fixed_n).c_str());
+                    core::render_savings(measurements.total_samples(),
+                                         measurements.size() *
+                                             spec.measurements)
+                        .c_str());
     }
-    // Measurement cost the result cache absorbed on top of (and
-    // independently of) the adaptive savings: samples_total above already
-    // counts only the fresh executor draws.
+    // Of the samples above, those the result cache served instead of the
+    // executor.
     if (cache_saved > 0) {
         std::printf("saved via cache: %zu samples\n", cache_saved);
     }
@@ -303,9 +297,8 @@ int campaign_merge(const campaign::CampaignSpec& spec, const std::string& patter
     for (const std::string& path : paths) {
         shards.push_back(campaign::read_shard_csv(path));
         // Ingest accounting: the shards were measured elsewhere, so their
-        // cost enters the registry here — the savings line and the
-        // --metrics dump then describe the whole campaign, not this
-        // (measurement-free) merge process.
+        // cost enters the registry here — the --metrics dump then describes
+        // the whole campaign, not this (measurement-free) merge process.
         obs::metrics().samples_total.inc(
             shards.back().measurements.total_samples());
         obs::metrics().samples_fixed_n_total.inc(
@@ -392,7 +385,7 @@ int campaign_run(const campaign::CampaignSpec& spec, std::size_t shard_count,
                     merged_csv->c_str());
     }
     report_adaptive(spec, result.measurements, samples_csv,
-                    run.samples_from_cache, run.cache == cache::HitKind::Exact);
+                    run.samples_from_cache);
     report_analysis(result, out_path);
     return 0;
 }
