@@ -4,12 +4,10 @@
 //! presets: Xeon+P100, Raspberry-Pi+LAN-server, smartphone+mobile-GPU and a
 //! symmetric CPU-only pair.
 //!
-//! The measurement phase routes through the campaign subsystem
-//! (src/campaign/): `--shards K` splits each platform's assignment list into
-//! K shards executed across `--workers` threads, and the merged clustering is
-//! bit-identical to the single-process path for every K (pass --verify to
-//! check that in-process). On a multi-core host, larger --shards/--workers
-//! shrink the measurement wall-clock.
+//! Each platform's campaign runs through campaign::run_campaign, one engine
+//! over the whole plan. `--shards K` names the split that --verify checks: a
+//! fixed-N plan measured as K shards (run_shard) and merged (merge_shards)
+//! must cluster exactly like the one-engine run.
 
 #include "bench_common.hpp"
 #include "campaign/campaign.hpp"
@@ -45,10 +43,11 @@ int main(int argc, char** argv) try {
     cli.add_option("n", "measurements per algorithm", "30");
     cli.add_option("sizes", "comma-separated task sizes", "64,256");
     cli.add_option("iters", "loop iterations per task", "5");
-    cli.add_option("shards", "split each platform's campaign into K shards", "1");
-    cli.add_option("workers", "shard worker threads (0 = all cores)", "0");
-    cli.add_flag("verify", "also run the single-process path and check the "
-                           "sharded clustering is identical");
+    cli.add_option("shards", "shard count K of each platform's campaign "
+                             "(the split --verify measures)", "1");
+    cli.add_flag("verify", "also measure every platform as --shards shards, "
+                           "merge them and check the clustering is identical "
+                           "(fixed-N only)");
     cli.add_option("variants", "per-task backend axis, comma-separated "
                                "(grows each campaign to the (2B)^k placement "
                                "x backend variants)", "");
@@ -82,7 +81,6 @@ int main(int argc, char** argv) try {
     const std::size_t iters = str::parse_size(cli.value("iters"), "--iters");
     const std::size_t n = str::parse_size(cli.value("n"), "--n");
     const std::size_t shards = str::parse_size(cli.value("shards"), "--shards");
-    const std::size_t workers = str::parse_size(cli.value("workers"), "--workers");
     const core::AnalysisConfig config = bench::analysis_config(cli, n);
 
     std::vector<std::string> variant_backends;
@@ -96,9 +94,8 @@ int main(int argc, char** argv) try {
     const bool adaptive =
         cli.flag("adaptive") || min_n_opt || batch_opt || stability_opt;
     if (adaptive && cli.flag("verify")) {
-        // The stopping rule decides per shard, so sharded-vs-solo adaptive
-        // runs legitimately keep different counts; the bit-identity check
-        // only holds for fixed-N campaigns.
+        // Adaptive plans run whole on one host (run_shard refuses them), so
+        // there is no sharded path to check.
         std::fputs("error: --verify checks bit-identity of the sharded path "
                    "and only applies to fixed-N sweeps (drop --adaptive)\n",
                    stderr);
@@ -131,7 +128,6 @@ int main(int argc, char** argv) try {
     std::vector<std::string> header = {"Algorithm"};
     std::vector<core::AnalysisResult> results;
     double measure_seconds = 0.0;
-    const campaign::LocalShardRunner runner(workers);
 
     for (const std::string& preset : campaign::platform_preset_names()) {
         campaign::CampaignSpec spec;
@@ -155,22 +151,22 @@ int main(int argc, char** argv) try {
         spec.clustering_seed = config.clustering.seed;
 
         const auto start = std::chrono::steady_clock::now();
-        const std::vector<campaign::ShardResult> shard_results =
-            runner.run(spec);
+        results.push_back(campaign::run_campaign(spec));
         measure_seconds += seconds_since(start);
 
-        core::MeasurementSet merged = campaign::merge_shards(spec, shard_results);
-        results.push_back(core::analyze_measurements(std::move(merged),
-                                                     spec.analysis_config()));
-
         if (cli.flag("verify")) {
-            const core::AnalysisResult solo = campaign::run_campaign(spec, 1, 1);
-            bool identical =
-                solo.clustering.cluster_count() ==
-                results.back().clustering.cluster_count();
+            std::vector<campaign::ShardResult> shard_results;
+            for (std::size_t i = 0; i < shards; ++i) {
+                shard_results.push_back(campaign::run_shard(spec, i, shards));
+            }
+            const core::AnalysisResult sharded = core::analyze_measurements(
+                campaign::merge_shards(spec, shard_results),
+                spec.analysis_config());
+            bool identical = sharded.clustering.cluster_count() ==
+                             results.back().clustering.cluster_count();
             for (std::size_t alg = 0; identical && alg < variants.size();
                  ++alg) {
-                identical = solo.clustering.final_rank(alg) ==
+                identical = sharded.clustering.final_rank(alg) ==
                             results.back().clustering.final_rank(alg);
             }
             std::printf("%-32s sharded (K=%zu) clustering %s single-process\n",
@@ -198,14 +194,12 @@ int main(int argc, char** argv) try {
     }
     std::fputs(table.render().c_str(), stdout);
 
-    std::printf("\nmeasurement campaigns: %zu platforms x %zu shards, "
-                "%s workers -> %s\n",
-                campaign::platform_preset_names().size(), shards,
-                workers == 0 ? "all" : std::to_string(workers).c_str(),
+    std::printf("\nmeasurement campaigns: %zu platforms -> %s\n",
+                campaign::platform_preset_names().size(),
                 str::human_seconds(measure_seconds).c_str());
     if (adaptive) {
         // The registry counters were fed by the engine as the campaigns
-        // ran (--verify re-runs would double-feed them, but adaptive +
+        // ran (--verify's shards would double-feed them, but adaptive +
         // --verify is rejected above); reading them here keeps this line
         // and a --metrics dump mutually consistent by construction.
         const obs::Metrics& m = obs::metrics();

@@ -1,7 +1,6 @@
 #include "cache/cached_campaign.hpp"
 
 #include "cache/cached_source.hpp"
-#include "campaign/merge.hpp"
 #include "campaign/runner.hpp"
 #include "obs/metrics.hpp"
 
@@ -11,20 +10,8 @@ namespace relperf::cache {
 
 CachedRunResult run_campaign_cached(const campaign::CampaignSpec& spec,
                                     ResultCache& cache,
-                                    std::size_t shard_count,
-                                    std::size_t workers) {
+                                    std::size_t shard_count) {
     spec.validate();
-    if (spec.stops_depend_on_k(shard_count)) {
-        // Not addressable by the plan hash: neither served nor stored.
-        CachedRunResult out;
-        out.analysis = campaign::run_campaign(spec, shard_count, workers);
-        if (cache.config().enabled()) {
-            obs::metrics().cache_misses_total.inc();
-            out.bypassed = true;
-        }
-        return out;
-    }
-
     CacheLookup lookup;
     if (cache.config().enabled()) lookup = cache.lookup(spec);
     if (lookup.kind == HitKind::Exact) {

@@ -18,11 +18,9 @@
 //!    executor. The result is then stored (a no-op when the cache is
 //!    disabled), creating or upgrading the entry.
 //!
-//! Cacheability: a plan whose stop decisions depend on the shard count
-//! (CampaignSpec::stops_depend_on_k: shard-local adaptive with K > 1)
-//! yields counts the plan hash cannot address, so such runs go straight
-//! through campaign::run_campaign's per-shard path (neither served nor
-//! stored, counted as a miss). Every other plan is cacheable.
+//! Cacheability: every plan. A one-host run measures the same counts for
+//! every shard count K, and the plan hash excludes K, so an entry stored at
+//! one K serves every other.
 
 #include "cache/result_cache.hpp"
 #include "campaign/spec.hpp"
@@ -37,10 +35,6 @@ namespace relperf::cache {
 struct CachedRunResult {
     core::AnalysisResult analysis;
     HitKind cache = HitKind::Miss; ///< Lookup tier that produced `analysis`.
-    /// True when the plan's stop decisions depend on the requested shard
-    /// count (shard-local adaptive with K > 1, see
-    /// CampaignSpec::stops_depend_on_k): the run went straight through.
-    bool bypassed = false;
     /// Samples served from the cache instead of the executor (all of them on
     /// an exact hit, the reused prefix on an extension, 0 on a miss).
     std::size_t samples_from_cache = 0;
@@ -52,10 +46,9 @@ struct CachedRunResult {
 
 /// campaign::run_campaign with the cache consulted first. A disabled cache
 /// (empty dir) measures exactly as a miss does, without storing.
-/// shard_count = 0 uses spec.shards. `workers` only affects plans whose
-/// stops depend on K, the ones run_campaign runs per shard.
+/// shard_count = 0 uses spec.shards.
 [[nodiscard]] CachedRunResult run_campaign_cached(
     const campaign::CampaignSpec& spec, ResultCache& cache,
-    std::size_t shard_count = 0, std::size_t workers = 1);
+    std::size_t shard_count = 0);
 
 } // namespace relperf::cache

@@ -72,8 +72,8 @@ core::MeasurementSet merge_shards(const CampaignSpec& spec,
         if (m.adaptive_coordinated != spec.adaptive_coordinated) {
             throw Error(str::format(
                 "merge_shards: shard %zu was measured under %s stopping, "
-                "this spec demands %s — the stop decisions watched a "
-                "different clustering, refusing to merge",
+                "this spec demands %s — a different plan, refusing to "
+                "merge",
                 m.shard_index,
                 m.adaptive_coordinated ? "coordinated" : "shard-local",
                 spec.adaptive_coordinated ? "coordinated" : "shard-local"));
@@ -209,20 +209,9 @@ core::MeasurementSet merge_shards(const CampaignSpec& spec,
 }
 
 core::AnalysisResult run_campaign(const CampaignSpec& spec,
-                                  std::size_t shard_count,
-                                  std::size_t workers) {
-    if (!spec.stops_depend_on_k(shard_count)) {
-        GlobalSampleSource bundle(spec);
-        return measure_campaign(spec, shard_count, bundle.source()).analysis;
-    }
-    const LocalShardRunner runner(workers);
-    const std::vector<ShardResult> shards = runner.run(spec, shard_count);
-    core::AnalysisResult result = core::analyze_measurements(
-        merge_shards(spec, shards), spec.analysis_config());
-    // analyze_measurements cannot know the plan's cap; restore the true
-    // fixed-N cost so result.saved quantities reflect the adaptive savings.
-    result.fixed_n_samples = result.measurements.size() * spec.measurements;
-    return result;
+                                  std::size_t shard_count) {
+    GlobalSampleSource bundle(spec);
+    return measure_campaign(spec, shard_count, bundle.source()).analysis;
 }
 
 } // namespace relperf::campaign

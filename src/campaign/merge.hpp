@@ -3,8 +3,8 @@
 //! Merge-then-cluster for shard files, and the one-host campaign entry
 //! point. merge_shards validates a set of shard results against the
 //! campaign spec and stitches them back into the unsharded MeasurementSet:
-//! the collect step of the `--shard`/`--merge` flow, the per-shard path of
-//! run_campaign and the result cache's entry check. Validation is strict —
+//! the collect step of the fixed-N `--shard`/`--merge` flow and the result
+//! cache's entry check (an entry is shard 0 of 1). Validation is strict —
 //! a merge over shards from a different plan (spec hash mismatch), a
 //! duplicate shard, a missing shard or a shard whose contents disagree with
 //! its plan is a hard error, because a silently wrong merge would produce a
@@ -28,17 +28,12 @@ namespace relperf::campaign {
 [[nodiscard]] core::MeasurementSet merge_shards(
     const CampaignSpec& spec, const std::vector<ShardResult>& shards);
 
-/// Single-host campaign. shard_count = 0 uses spec.shards. A plan whose stop
-/// decisions do not depend on K (fixed-N, coordinated, or shard-local
-/// adaptive with K = 1; see CampaignSpec::stops_depend_on_k) is measured
-/// once through measure_campaign over the full variant list, so the result
-/// is the same for every K and `workers` is moot. Only a shard-local
-/// adaptive plan with K > 1 runs its shards (LocalShardRunner with
-/// `workers` threads), merges and clusters the merged set: each shard
-/// stops on its own algorithms, so different K may keep different
-/// per-algorithm counts (the sample values stay prefix-identical).
+/// Single-host campaign: the whole plan measured once through
+/// measure_campaign over the full variant list, fixed-N and adaptive alike.
+/// Every adaptive stop decision watches the clustering of all algorithms,
+/// so the result is the same for every K; shard_count (0 = spec.shards)
+/// only validates the split.
 [[nodiscard]] core::AnalysisResult run_campaign(const CampaignSpec& spec,
-                                                std::size_t shard_count = 0,
-                                                std::size_t workers = 1);
+                                                std::size_t shard_count = 0);
 
 } // namespace relperf::campaign

@@ -3,7 +3,6 @@
 #include "campaign/sharder.hpp"
 #include "linalg/backend.hpp"
 #include "obs/metrics.hpp"
-#include "obs/obs.hpp"
 #include "obs/provenance.hpp"
 #include "obs/trace.hpp"
 #include "sim/analytic.hpp"
@@ -11,12 +10,7 @@
 #include "sim/real_executor.hpp"
 #include "support/error.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <exception>
-#include <mutex>
 #include <optional>
-#include <thread>
 
 namespace relperf::campaign {
 
@@ -27,38 +21,18 @@ std::size_t effective_shard_count(const CampaignSpec& spec,
     return shard_count == 0 ? spec.shards : shard_count;
 }
 
-/// Measures the variants of `plan` with the spec's executor. Each variant
-/// draws from the stream derived from its *global* index, so a fixed-N shard
-/// is identical to the corresponding slice of the unsharded pipeline, and an
-/// adaptive shard's samples are a deterministic prefix of that slice.
-/// Adaptive stopping clusters the shard's own algorithms (shard-local
-/// decisions); a fixed-N shard only measures and never clusters.
-core::MeasurementSet measure_plan(const CampaignSpec& spec,
-                                  const ShardPlan& plan) {
-    GlobalSampleSource bundle(spec, plan);
-    if (!spec.adaptive()) {
-        return core::measure_all(bundle.source(), spec.measurements);
-    }
-    const core::AnalysisConfig analysis = spec.analysis_config();
-    const core::MeasurementEngine engine(*analysis.adaptive,
-                                         analysis.comparator,
-                                         analysis.clustering);
-    return std::move(engine.run(bundle.source()).measurements);
-}
-
 } // namespace
 
 ShardResult run_shard(const CampaignSpec& spec, std::size_t shard_index,
                       std::size_t shard_count) {
     spec.validate();
-    // A lone shard cannot honor a coordinated plan: the stop decisions need
-    // the merged view of all shards between rounds.
-    RELPERF_REQUIRE(!spec.adaptive_coordinated,
-                    "run_shard: the spec demands coordinated stopping, which "
-                    "re-clusters the merged measurements of all shards "
-                    "between rounds — run the campaign through "
-                    "run_coordinated_campaign (relperf_cli --coordinated "
-                    "--run) instead of per-shard execution");
+    // A lone shard cannot honor an adaptive plan: its stop decisions watch
+    // the clustering of all algorithms, which no shard sees.
+    RELPERF_REQUIRE(!spec.adaptive(),
+                    "run_shard: the spec is adaptive, and its stop decisions "
+                    "watch the clustering of all algorithms, which no single "
+                    "shard sees — measure the whole plan on one host with "
+                    "--run (run_campaign) instead of per-shard execution");
     const std::size_t count = effective_shard_count(spec, shard_count);
     const Sharder sharder(spec.variants().size(), count);
 
@@ -70,7 +44,8 @@ ShardResult run_shard(const CampaignSpec& spec, std::size_t shard_index,
     obs::metrics().shards_total.inc();
 
     ShardResult result;
-    result.measurements = measure_plan(spec, sharder.plan(shard_index));
+    GlobalSampleSource bundle(spec, sharder.plan(shard_index));
+    result.measurements = core::measure_all(bundle.source(), spec.measurements);
     result.manifest =
         plan_manifest(spec, shard_index, count, result.measurements);
     return result;
@@ -179,10 +154,6 @@ CoordinatedCampaignResult measure_campaign(const CampaignSpec& spec,
                                            std::size_t shard_count,
                                            core::SampleSource& source) {
     spec.validate();
-    RELPERF_REQUIRE(!spec.stops_depend_on_k(shard_count),
-                    "measure_campaign: shard-local adaptive stopping decides "
-                    "per shard, so its counts depend on K — run the shards "
-                    "(run_campaign) instead of one engine");
     const std::size_t count = effective_shard_count(spec, shard_count);
     const Sharder sharder(spec.variants().size(), count);
     RELPERF_REQUIRE(source.count() == sharder.assignment_count(),
@@ -235,61 +206,6 @@ CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
                     "'adaptive_coordination = coordinated' — the key is part "
                     "of the measurement plan and must be recorded");
     return measure_campaign(spec, shard_count, source);
-}
-
-LocalShardRunner::LocalShardRunner(std::size_t workers) : workers_(workers) {
-    if (workers_ == 0) {
-        workers_ = std::max(1u, std::thread::hardware_concurrency());
-    }
-}
-
-std::vector<ShardResult> LocalShardRunner::run(const CampaignSpec& spec,
-                                               std::size_t shard_count) const {
-    spec.validate();
-    const std::size_t count = effective_shard_count(spec, shard_count);
-    // Validate K against the variant count before spawning anything.
-    (void)Sharder(spec.variants().size(), count);
-
-    // Real campaigns measure wall-clock time on this machine: concurrent
-    // shards would measure each other's contention, so run them serially.
-    const std::size_t threads =
-        spec.executor == ExecutorKind::Real ? 1 : std::min(workers_, count);
-
-    std::vector<ShardResult> results(count);
-    obs::report_progress("shards", 0, count);
-    if (threads <= 1) {
-        for (std::size_t i = 0; i < count; ++i) {
-            results[i] = run_shard(spec, i, count);
-            obs::report_progress("shards", i + 1, count);
-        }
-        return results;
-    }
-
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-    std::exception_ptr first_error;
-    std::mutex error_mutex;
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-        pool.emplace_back([&] {
-            while (true) {
-                const std::size_t i = next.fetch_add(1);
-                if (i >= count) return;
-                try {
-                    results[i] = run_shard(spec, i, count);
-                    obs::report_progress("shards", done.fetch_add(1) + 1,
-                                         count);
-                } catch (...) {
-                    const std::lock_guard<std::mutex> lock(error_mutex);
-                    if (!first_error) first_error = std::current_exception();
-                }
-            }
-        });
-    }
-    for (std::thread& worker : pool) worker.join();
-    if (first_error) std::rethrow_exception(first_error);
-    return results;
 }
 
 } // namespace relperf::campaign

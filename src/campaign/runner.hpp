@@ -3,14 +3,14 @@
 //! Campaign execution on this host. Every variant draws from the RNG stream
 //! derived from the campaign's measurement seed and its *global* index
 //! (core::assignment_stream_seed), so splitting a plan into K shards changes
-//! no measured value. A plan whose stop decisions do not depend on K
-//! (!CampaignSpec::stops_depend_on_k) is therefore measured once:
+//! no measured value. A whole campaign is therefore measured once:
 //! measure_campaign runs one core::analyze_source call over the full
 //! variant list, with the coordinator's round observer attached when the
 //! plan is coordinated. run_campaign, run_coordinated_campaign and the
-//! result cache all go through it. Only shard-local adaptive stopping with
-//! K > 1 fans out: run_shard measures the assignments one shard owns, and
-//! LocalShardRunner runs every shard of a campaign across worker threads.
+//! result cache all go through it. run_shard measures the assignments one
+//! shard of a fixed-N plan owns (the `--shard i/K` step of a multi-host
+//! campaign); it refuses adaptive plans, whose stop decisions watch the
+//! clustering of all algorithms and so need the whole plan on one host.
 
 #include "campaign/shard_io.hpp"
 #include "campaign/sharder.hpp"
@@ -24,10 +24,12 @@
 
 namespace relperf::campaign {
 
-/// Measures shard `shard_index` of `spec`'s plan split into `shard_count`
-/// shards (the `--shard i/K` step and the per-shard path of run_campaign).
-/// Pass shard_count = 0 to use spec.shards. The result's manifest is
-/// plan_manifest's.
+/// Measures shard `shard_index` of `spec`'s fixed-N plan split into
+/// `shard_count` shards (the `--shard i/K` step). Pass shard_count = 0 to
+/// use spec.shards. The result's manifest is plan_manifest's. Throws
+/// InvalidArgument on an adaptive spec: its stop decisions watch the
+/// clustering of all algorithms, so it runs whole through run_campaign
+/// (relperf_cli --run).
 [[nodiscard]] ShardResult run_shard(const CampaignSpec& spec,
                                     std::size_t shard_index,
                                     std::size_t shard_count = 0);
@@ -54,25 +56,25 @@ struct CoordinatedCampaignResult {
     std::size_t rounds = 0; ///< Coordinator rounds (clusterings consulted).
 };
 
-/// The one-host measurement of a plan whose stop decisions do not depend on
-/// K: one core::analyze_source call over `source`, which must enumerate the
-/// spec's full global variant list on the per-assignment streams of
-/// core::assignment_stream_seed (GlobalSampleSource, or a decorator over it
-/// such as the result cache's replaying source). For a coordinated plan the
+/// The one-host measurement of a plan: one core::analyze_source call over
+/// `source`, which must enumerate the spec's full global variant list on
+/// the per-assignment streams of core::assignment_stream_seed
+/// (GlobalSampleSource, or a decorator over it such as the result cache's
+/// replaying source). For a coordinated plan the
 /// coordinator's observer records each round: one coordination round and K
 /// stop-set broadcasts per clustering. Because the stop-set is global, the
-/// counts are K-invariant, and K only validates the split. Throws when
-/// spec.stops_depend_on_k(shard_count). shard_count = 0 uses spec.shards.
+/// counts are K-invariant, and K only validates the split. shard_count = 0
+/// uses spec.shards.
 [[nodiscard]] CoordinatedCampaignResult measure_campaign(
     const CampaignSpec& spec, std::size_t shard_count,
     core::SampleSource& source);
 
-/// Runs an adaptive campaign with cross-shard coordinated stopping: each
+/// Runs an adaptive campaign with the coordinator's bookkeeping: each
 /// round's stop decisions watch the clustering of *all* algorithms, the
 /// same statistic the final analysis reports, so per-algorithm sample
-/// counts are K-invariant, and with shard_count = 1 the run is
-/// bit-identical to the shard-local engine. Requires an adaptive spec with
-/// adaptive_coordinated set (the key is measurement-determining, so the
+/// counts are K-invariant and bit-identical to the uncoordinated engine's;
+/// the result adds the per-round stop-set history. Requires an adaptive
+/// spec with adaptive_coordinated set (the key is part of the plan, so the
 /// plan hash must record it; relperf_cli --coordinated sets it on the
 /// loaded spec), then measures through measure_campaign. shard_count = 0
 /// uses spec.shards.
@@ -91,9 +93,9 @@ struct CoordinatedCampaignResult {
 /// full global variant list; given a ShardPlan it enumerates only that
 /// shard's variants, in plan order. This is the one place a campaign's
 /// executor and source are built: run_shard measures its plan through it,
-/// measure_campaign's callers the full list. The executor lives as long as the bundle, so the source reference
-/// stays valid. Throws before measuring anything when this build lacks one
-/// of the plan's backends.
+/// measure_campaign's callers the full list. The executor lives as long as
+/// the bundle, so the source reference stays valid. Throws before measuring
+/// anything when this build lacks one of the plan's backends.
 class GlobalSampleSource {
 public:
     explicit GlobalSampleSource(const CampaignSpec& spec,
@@ -107,25 +109,6 @@ public:
 private:
     struct Impl;
     std::unique_ptr<Impl> impl_;
-};
-
-/// Runs every shard of a campaign on this machine: the per-shard path of
-/// run_campaign for plans whose stop decisions depend on K.
-class LocalShardRunner {
-public:
-    /// `workers` = maximum concurrent shard threads; 0 means one per
-    /// hardware thread. Campaigns with ExecutorKind::Real always run their
-    /// shards sequentially regardless of `workers`: concurrent wall-clock
-    /// measurement on one machine would contend for the CPUs being measured.
-    explicit LocalShardRunner(std::size_t workers = 0);
-
-    /// Runs all `shard_count` (0 = spec.shards) shards; returns them ordered
-    /// by shard index. The first worker exception, if any, is rethrown.
-    [[nodiscard]] std::vector<ShardResult> run(const CampaignSpec& spec,
-                                               std::size_t shard_count = 0) const;
-
-private:
-    std::size_t workers_;
 };
 
 } // namespace relperf::campaign

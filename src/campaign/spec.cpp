@@ -4,6 +4,7 @@
 #include "support/str.hpp"
 #include "workloads/assignment.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <set>
@@ -100,23 +101,23 @@ void CampaignSpec::validate() const {
     RELPERF_REQUIRE(shards > 0, "campaign: shards (K) must be positive");
     RELPERF_REQUIRE(device_threads >= 0 && accelerator_threads >= 0,
                     "campaign: thread counts must be non-negative");
-    RELPERF_REQUIRE(dispatch_delay_us >= 0.0 && switch_delay_us >= 0.0,
-                    "campaign: delays must be non-negative");
+    // isfinite first: an infinite delay passes ">= 0" and would sleep
+    // forever on the real executor.
+    RELPERF_REQUIRE(std::isfinite(dispatch_delay_us) &&
+                        std::isfinite(switch_delay_us) &&
+                        dispatch_delay_us >= 0.0 && switch_delay_us >= 0.0,
+                    "campaign: delays must be finite and non-negative");
     RELPERF_REQUIRE(clustering_repetitions > 0,
                     "campaign: clustering repetitions must be positive");
     RELPERF_REQUIRE(bootstrap_rounds > 0,
                     "campaign: bootstrap rounds must be positive");
-    RELPERF_REQUIRE(tie_epsilon >= 0.0, "campaign: tie_epsilon must be >= 0");
+    RELPERF_REQUIRE(std::isfinite(tie_epsilon) && tie_epsilon >= 0.0,
+                    "campaign: tie_epsilon must be finite and >= 0");
     RELPERF_REQUIRE(decision_threshold > 0.5 && decision_threshold <= 1.0,
                     "campaign: decision_threshold must be in (0.5, 1]");
     if (executor == ExecutorKind::Sim) {
         (void)platform_preset(platform); // throws on unknown names
     }
-}
-
-bool CampaignSpec::stops_depend_on_k(std::size_t shard_count) const noexcept {
-    const std::size_t k = shard_count == 0 ? shards : shard_count;
-    return adaptive() && !adaptive_coordinated && k > 1;
 }
 
 namespace {

@@ -3,9 +3,11 @@
 //! CampaignSpec — the serializable description of a measurement campaign:
 //! which chain to measure (RLS task sizes + loop iterations), on which
 //! executor (simulated platform preset or the real machine), how many
-//! measurements per algorithm, and the analysis knobs. One spec file is
-//! shipped to every shard runner; its hash ties shard outputs back to the
-//! plan so a merge can reject results produced under a different plan.
+//! measurements per algorithm, the adaptive stopping knobs and the analysis
+//! knobs. A fixed-N spec file is shipped to every host that runs a shard;
+//! its hash ties shard outputs back to the plan so a merge can reject
+//! results produced under a different plan. An adaptive spec runs on one
+//! host, where its hash keys the result cache.
 
 #include "core/pipeline.hpp"
 #include "sim/spec.hpp"
@@ -61,15 +63,13 @@ struct CampaignSpec {
     // measures every algorithm adaptive_min samples first and then extends
     // in adaptive_batch steps up to `measurements`, stopping an algorithm
     // once its performance-class membership was unchanged for
-    // adaptive_stability consecutive clusterings. Stopping decisions default
-    // to *shard-local* (each shard clusters the algorithms it owns), so a
-    // sharded adaptive campaign is deterministic per split but may measure
-    // different counts than the unsharded run; the sample *values* are
-    // prefix-identical in every case. `adaptive_coordination = coordinated`
-    // instead stops on the *merged* clustering: between rounds the
-    // coordinator re-clusters all shards' measurements together and
-    // broadcasts the global stop-set, so per-algorithm counts are
-    // K-invariant and equal the unsharded engine's. `adaptive_confidence`
+    // adaptive_stability consecutive clusterings. The stop decisions always
+    // watch the clustering of *all* algorithms, so an adaptive plan is
+    // measured on one host by one engine (`--run`) and its counts never
+    // depend on the shard count; only fixed-N plans are split across hosts.
+    // `adaptive_coordination = coordinated` additionally records the
+    // coordinator's per-round stop-set broadcast for a K-shard split (the
+    // default "shard-local" records none). `adaptive_confidence`
     // (in (0.5, 1)) swaps the membership-stability stopping rule for the
     // confidence-targeted one (core/stopping_rule.hpp). The adaptive keys
     // enter the spec text and hash() only when adaptive is on — and the two
@@ -81,8 +81,8 @@ struct CampaignSpec {
     std::size_t adaptive_min = 0;       ///< Min N (0 = adaptive off).
     std::size_t adaptive_batch = 5;     ///< Samples added per round.
     std::size_t adaptive_stability = 2; ///< Stable clusterings before stop.
-    /// Cross-shard coordinated stopping (key value "coordinated"; the
-    /// default "shard-local" is never emitted).
+    /// Coordinator bookkeeping (key value "coordinated"; the default
+    /// "shard-local" is never emitted). Part of the plan hash.
     bool adaptive_coordinated = false;
     /// Confidence level of the confidence-targeted stopping rule; 0 (the
     /// default, never emitted) keeps the membership-stability rule.
@@ -154,14 +154,6 @@ struct CampaignSpec {
 
     /// True when the adaptive engine drives measurement (adaptive_min > 0).
     [[nodiscard]] bool adaptive() const noexcept { return adaptive_min != 0; }
-
-    /// True when the plan's stop decisions depend on the shard count K
-    /// (shard_count = 0 uses `shards`). Only shard-local adaptive stopping
-    /// with K > 1 does: each shard clusters just the algorithms it owns.
-    /// Every other plan measures the same values for every K, so one host
-    /// measures it once through one engine and the result cache may serve
-    /// and store it (the plan hash excludes K).
-    [[nodiscard]] bool stops_depend_on_k(std::size_t shard_count) const noexcept;
 
     /// The engine knobs of an adaptive spec: min = adaptive_min,
     /// max = measurements. Throws when adaptive() is false.

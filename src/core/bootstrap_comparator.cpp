@@ -68,7 +68,9 @@ void BootstrapComparatorConfig::validate() const {
     RELPERF_REQUIRE(rounds > 0, "BootstrapComparator: rounds must be positive");
     RELPERF_REQUIRE(0.0 <= quantile_lo && quantile_lo <= quantile_hi && quantile_hi <= 1.0,
                     "BootstrapComparator: need 0 <= quantile_lo <= quantile_hi <= 1");
-    RELPERF_REQUIRE(tie_epsilon >= 0.0, "BootstrapComparator: tie_epsilon must be >= 0");
+    // An infinite band would tie every pair and put all algorithms in C1.
+    RELPERF_REQUIRE(std::isfinite(tie_epsilon) && tie_epsilon >= 0.0,
+                    "BootstrapComparator: tie_epsilon must be finite and >= 0");
     RELPERF_REQUIRE(decision_threshold > 0.0 && decision_threshold <= 1.0,
                     "BootstrapComparator: decision_threshold must be in (0, 1]");
 }

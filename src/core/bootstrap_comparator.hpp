@@ -64,8 +64,7 @@ public:
     /// The raw win-rate score in [-1, 1] (positive: a wins). Exposed for
     /// diagnostics and the ablation benches. Throws InvalidArgument on an
     /// empty or NaN-bearing sample. Uses a thread-local scratch —
-    /// the comparator itself stays stateless and shareable across campaign
-    /// worker threads.
+    /// the comparator itself stays stateless and shareable across threads.
     [[nodiscard]] double score(std::span<const double> a, std::span<const double> b,
                                stats::Rng& rng) const;
 

@@ -77,8 +77,9 @@ void set_default_backend(const std::string& name);
 [[nodiscard]] const Backend& active_backend();
 
 /// RAII per-thread backend override. Nestable; restores the previous
-/// override on destruction. The override is thread-local on purpose: shard
-/// worker threads select their campaign's backend without racing each other.
+/// override on destruction. The override is thread-local on purpose: threads
+/// running different campaigns select their backends without racing each
+/// other.
 class ScopedBackend {
 public:
     explicit ScopedBackend(const std::string& name);

@@ -23,7 +23,7 @@ namespace relperf::obs {
 void set_tracing_enabled(bool on) noexcept;
 void set_metrics_enabled(bool on) noexcept;
 
-/// One progress tick. `stage` is a static string ("shards", "engine.round"),
+/// One progress tick. `stage` is a static string ("measure", "engine.round"),
 /// `done`/`total` the position within that stage.
 struct Progress {
     const char* stage;
@@ -33,7 +33,7 @@ struct Progress {
 
 /// Sink for progress ticks (the CLI's --progress meter). Pass an empty
 /// function to uninstall. The sink is invoked under an internal mutex, so
-/// it may be called from shard worker threads without its own locking.
+/// it may be called from several threads without its own locking.
 void set_progress_sink(std::function<void(const Progress&)> sink);
 
 /// Reports a tick to the installed sink; a cheap no-op (one relaxed load)

@@ -25,7 +25,7 @@ std::atomic<std::uint64_t> g_dropped{0};
 std::uint32_t thread_id() {
     static std::atomic<std::uint32_t> next{0};
     // Sequential per-thread ids: small, stable within a run, and free of
-    // the platform-specific width/format of std::thread::id.
+    // the platform-specific width and format of native thread ids.
     thread_local const std::uint32_t id =
         next.fetch_add(1, std::memory_order_relaxed);
     return id;

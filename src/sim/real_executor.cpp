@@ -9,6 +9,7 @@
 #include "workloads/task.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <optional>
 #include <thread>
 
@@ -19,8 +20,8 @@ using workloads::Placement;
 namespace {
 
 /// Restores the raw gemm thread setting on scope exit, so a throwing task
-/// cannot leak the per-device clamp into the process-wide setting (other
-/// shard workers would measure under the wrong clamp).
+/// cannot leak the per-device clamp into the process-wide setting (later
+/// runs would measure under the wrong clamp).
 class ThreadSettingRestorer {
 public:
     ThreadSettingRestorer() : saved_(linalg::gemm_thread_setting()) {}
@@ -56,9 +57,13 @@ RealExecutor::RealExecutor(EmulatedDevice device, EmulatedDevice accelerator)
     : device_(device), accelerator_(accelerator) {
     RELPERF_REQUIRE(device_.threads >= 0 && accelerator_.threads >= 0,
                     "RealExecutor: thread counts must be >= 0 (0 = all)");
-    RELPERF_REQUIRE(device_.dispatch_delay_s >= 0.0 &&
-                        accelerator_.dispatch_delay_s >= 0.0,
-                    "RealExecutor: dispatch delays must be >= 0");
+    for (const EmulatedDevice& emu : {device_, accelerator_}) {
+        RELPERF_REQUIRE(std::isfinite(emu.dispatch_delay_s) &&
+                            std::isfinite(emu.switch_delay_s) &&
+                            emu.dispatch_delay_s >= 0.0 &&
+                            emu.switch_delay_s >= 0.0,
+                        "RealExecutor: delays must be finite and >= 0");
+    }
 }
 
 double RealExecutor::run_once(const workloads::TaskChain& chain,

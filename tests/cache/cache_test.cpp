@@ -6,7 +6,7 @@
 //!    single-shard adaptive and coordinated adaptive), only the budget delta
 //!    drawn, and the entry upgraded in place;
 //!  * the CachedSampleSource replay/skip stream algebra;
-//!  * cacheability (shard-local adaptive with K > 1 bypasses);
+//!  * every plan is cacheable across K (adaptive counts never depend on K);
 //!  * failure modes: truncated payloads, tampered manifests, dropped rows,
 //!    garbage sidecars, unusable directories, leftover temp files — all
 //!    degrade to a miss (and self-repair on the next store), never an error;
@@ -153,7 +153,6 @@ TEST_F(CacheTest, ExactHitDrawsNothingAndReclustersByteIdentically) {
     const cache::CachedRunResult cold =
         cache::run_campaign_cached(spec, result_cache, 2);
     EXPECT_EQ(cold.cache, cache::HitKind::Miss);
-    EXPECT_FALSE(cold.bypassed);
     EXPECT_EQ(cold.samples_from_cache, 0u);
     EXPECT_EQ(result_cache.stats().entries, 1u);
 
@@ -279,21 +278,29 @@ TEST_F(CacheTest, CoordinatedPrefixExtensionMatchesAColdCoordinatedRun) {
     EXPECT_EQ(extended.rounds, cold.rounds);
 }
 
-TEST_F(CacheTest, ShardLocalAdaptiveWithMultipleShardsBypasses) {
-    // Shard-local adaptive counts depend on K, which the plan hash excludes:
-    // serving such a run cross-K would silently change results.
+TEST_F(CacheTest, ShardLocalAdaptiveAtFourShardsHitsTheSingleShardEntry) {
+    // A shard-local adaptive plan stops on the clustering of all algorithms
+    // for every K, so the entry a K = 1 run stores is exactly what a K = 4
+    // run would measure: the plan hash (which excludes K) may serve it.
     const campaign::CampaignSpec spec = adaptive_spec();
-    EXPECT_FALSE(small_spec().stops_depend_on_k(4));
-    EXPECT_FALSE(spec.stops_depend_on_k(1));
-    EXPECT_FALSE(coordinated_spec().stops_depend_on_k(4));
-    EXPECT_TRUE(spec.stops_depend_on_k(2));
-
     cache::ResultCache result_cache = make_cache();
-    const cache::CachedRunResult run =
-        cache::run_campaign_cached(spec, result_cache, 2);
-    EXPECT_EQ(run.cache, cache::HitKind::Miss);
-    EXPECT_TRUE(run.bypassed);
-    EXPECT_EQ(result_cache.stats().entries, 0u) << "bypassed runs not stored";
+    const cache::CachedRunResult cold =
+        cache::run_campaign_cached(spec, result_cache, 1);
+    EXPECT_EQ(cold.cache, cache::HitKind::Miss);
+    EXPECT_EQ(result_cache.stats().entries, 1u);
+
+    obs::set_metrics_enabled(true);
+    obs::registry().reset_values();
+    const cache::CachedRunResult warm =
+        cache::run_campaign_cached(spec, result_cache, 4);
+    EXPECT_EQ(warm.cache, cache::HitKind::Exact);
+    EXPECT_EQ(obs::metrics().samples_total.value(), 0u);
+    EXPECT_EQ(warm.samples_from_cache, cold.analysis.total_samples);
+    EXPECT_EQ(warm.analysis.samples_per_alg, cold.analysis.samples_per_alg);
+    expect_sets_identical(warm.analysis.measurements,
+                          campaign::run_campaign(spec, 4).measurements);
+    expect_clusterings_identical(warm.analysis.clustering,
+                                 cold.analysis.clustering);
 }
 
 TEST_F(CacheTest, TruncatedPayloadDegradesToAMissAndSelfRepairs) {

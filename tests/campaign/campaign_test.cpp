@@ -5,11 +5,13 @@
 //!  * the sharded + merged clustering is EXACTLY the clustering of the
 //!    single-process core::analyze_chain run (the ISSUE acceptance check);
 //!  * merging rejects foreign, duplicate and missing shards;
-//!  * the parallel LocalShardRunner agrees with serial execution;
+//!  * an adaptive plan keeps the same counts for every K, and run_shard
+//!    refuses it;
 //!  * the CSV persistence round-trip changes nothing.
 
 #include "campaign/campaign.hpp"
 
+#include "campaign/shard_slices.hpp"
 #include "core/pipeline.hpp"
 #include "sim/analytic.hpp"
 #include "support/error.hpp"
@@ -153,19 +155,6 @@ TEST(Campaign, CsvRoundTripPreservesTheExactClustering) {
     expect_clusterings_identical(result.clustering, reference.clustering);
 }
 
-TEST(Campaign, ParallelRunnerAgreesWithSerialExecution) {
-    const campaign::CampaignSpec spec = small_spec();
-    const std::vector<campaign::ShardResult> serial =
-        campaign::LocalShardRunner(1).run(spec, 4);
-    const std::vector<campaign::ShardResult> parallel =
-        campaign::LocalShardRunner(4).run(spec, 4);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(parallel[i].manifest.shard_index, i);
-        expect_sets_identical(parallel[i].measurements, serial[i].measurements);
-    }
-}
-
 TEST(Campaign, MergeRejectsForeignShards) {
     const campaign::CampaignSpec spec = small_spec();
     campaign::CampaignSpec foreign = spec;
@@ -279,37 +268,8 @@ TEST(Campaign, RunShardRejectsUnavailableBackend) {
     // ...but measuring a shard on this build must fail up front.
     EXPECT_THROW((void)campaign::run_shard(spec, 0, 2),
                  relperf::InvalidArgument);
-    EXPECT_THROW((void)campaign::LocalShardRunner(1).run(spec, 2),
+    EXPECT_THROW((void)campaign::run_campaign(spec, 2),
                  relperf::InvalidArgument);
-}
-
-TEST(Campaign, ParallelRunnerErrorPathIsRaceFreeAndRethrowsOnce) {
-    // Regression guard for the LocalShardRunner error path: with more
-    // workers than cores every worker hits the throwing run_shard
-    // concurrently, so first_error assignment and the atomic `next` drain
-    // race if they are ever unsynchronized (TSan covers this test in CI).
-    // Exactly one of the concurrent exceptions must come back out.
-    campaign::CampaignSpec spec = small_spec();
-    spec.backend = "warp-core";
-    for (int round = 0; round < 5; ++round) {
-        EXPECT_THROW((void)campaign::LocalShardRunner(8).run(spec, 8),
-                     relperf::InvalidArgument);
-    }
-}
-
-TEST(Campaign, ParallelRunnerHandlesMoreWorkersThanShards) {
-    // Workers beyond the shard count must drain the queue and exit without
-    // touching results out of range; the survivors' output is bit-identical
-    // to the serial run.
-    const campaign::CampaignSpec spec = small_spec();
-    const std::vector<campaign::ShardResult> serial =
-        campaign::LocalShardRunner(1).run(spec, 2);
-    const std::vector<campaign::ShardResult> crowded =
-        campaign::LocalShardRunner(16).run(spec, 2);
-    ASSERT_EQ(serial.size(), crowded.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        expect_sets_identical(crowded[i].measurements, serial[i].measurements);
-    }
 }
 
 TEST(Campaign, RealExecutorCampaignRunsAndMerges) {
@@ -326,9 +286,9 @@ TEST(Campaign, RealExecutorCampaignRunsAndMerges) {
     spec.switch_delay_us = 0.0;
     spec.clustering_repetitions = 10;
 
-    const std::vector<campaign::ShardResult> shards =
-        campaign::LocalShardRunner(2).run(spec, 2);
-    const core::MeasurementSet merged = campaign::merge_shards(spec, shards);
+    const core::MeasurementSet merged = campaign::merge_shards(
+        spec,
+        {campaign::run_shard(spec, 0, 2), campaign::run_shard(spec, 1, 2)});
     ASSERT_EQ(merged.size(), 4u);
     for (std::size_t i = 0; i < merged.size(); ++i) {
         for (const double s : merged.samples(i)) EXPECT_GT(s, 0.0);
@@ -356,8 +316,8 @@ TEST(CampaignAdaptive, EndToEndSavesMeasurementsAndKeepsMembership) {
     }();
     const campaign::CampaignSpec adaptive = adaptive_spec();
 
-    const core::AnalysisResult full = campaign::run_campaign(fixed, 2, 1);
-    const core::AnalysisResult early = campaign::run_campaign(adaptive, 2, 1);
+    const core::AnalysisResult full = campaign::run_campaign(fixed, 2);
+    const core::AnalysisResult early = campaign::run_campaign(adaptive, 2);
 
     // The acceptance criterion: fewer total measurements, same final
     // performance-class membership.
@@ -378,9 +338,37 @@ TEST(CampaignAdaptive, EndToEndSavesMeasurementsAndKeepsMembership) {
     }
 }
 
+TEST(CampaignAdaptive, CountsAndClusteringAreKInvariant) {
+    // The stop decisions watch the clustering of all algorithms whatever K
+    // the spec names, so the split changes no count and no class.
+    const campaign::CampaignSpec spec = adaptive_spec();
+    const core::AnalysisResult k1 = campaign::run_campaign(spec, 1);
+    EXPECT_LT(k1.total_samples, k1.fixed_n_samples);
+    for (const std::size_t k : {2u, 4u, 8u}) {
+        const core::AnalysisResult kr = campaign::run_campaign(spec, k);
+        EXPECT_EQ(kr.samples_per_alg, k1.samples_per_alg) << "K = " << k;
+        expect_sets_identical(kr.measurements, k1.measurements);
+        expect_clusterings_identical(kr.clustering, k1.clustering);
+    }
+}
+
+TEST(CampaignAdaptive, RunShardRefusesAdaptivePlans) {
+    // No shard sees the clustering an adaptive stop decision watches.
+    try {
+        (void)campaign::run_shard(adaptive_spec(), 0, 2);
+        FAIL() << "expected run_shard to refuse an adaptive plan";
+    } catch (const relperf::InvalidArgument& e) {
+        EXPECT_NE(std::string(e.what()).find("--run"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW((void)campaign::run_shard(adaptive_spec(), 0, 1),
+                 relperf::InvalidArgument);
+}
+
 TEST(CampaignAdaptive, ShardManifestsCarryThePlanAndTheCounts) {
     const campaign::CampaignSpec spec = adaptive_spec();
-    const campaign::ShardResult shard = campaign::run_shard(spec, 0, 2);
+    const campaign::ShardResult shard = relperf::test::slice_shards(
+        spec, campaign::run_campaign(spec).measurements, 2)[0];
     EXPECT_EQ(shard.manifest.adaptive_min, spec.adaptive_min);
     EXPECT_EQ(shard.manifest.adaptive_batch, spec.adaptive_batch);
     EXPECT_EQ(shard.manifest.adaptive_stability, spec.adaptive_stability);
@@ -406,8 +394,10 @@ TEST(CampaignAdaptive, MergeRejectsMixedAdaptivePlans) {
 
     const campaign::ShardResult f0 = campaign::run_shard(fixed, 0, 2);
     const campaign::ShardResult f1 = campaign::run_shard(fixed, 1, 2);
-    const campaign::ShardResult a0 = campaign::run_shard(adaptive, 0, 2);
-    const campaign::ShardResult a1 = campaign::run_shard(adaptive, 1, 2);
+    const std::vector<campaign::ShardResult> a = relperf::test::slice_shards(
+        adaptive, campaign::run_campaign(adaptive).measurements, 2);
+    const campaign::ShardResult& a0 = a[0];
+    const campaign::ShardResult& a1 = a[1];
 
     // Fixed shards under an adaptive spec, adaptive shards under a fixed
     // spec, and a mix — all rejected with the adaptive-plan message.
@@ -427,8 +417,10 @@ TEST(CampaignAdaptive, MergeRejectsMixedAdaptivePlans) {
 
 TEST(CampaignAdaptive, MergeRejectsCountsThePlanCannotReach) {
     const campaign::CampaignSpec spec = adaptive_spec(); // min 6, batch 4
-    campaign::ShardResult s0 = campaign::run_shard(spec, 0, 2);
-    const campaign::ShardResult s1 = campaign::run_shard(spec, 1, 2);
+    std::vector<campaign::ShardResult> shards = relperf::test::slice_shards(
+        spec, campaign::run_campaign(spec).measurements, 2);
+    campaign::ShardResult& s0 = shards[0];
+    const campaign::ShardResult& s1 = shards[1];
 
     // Rebuild s0 with one sample dropped from its first algorithm: the
     // count 6 + k*4 arithmetic no longer works out.
@@ -481,17 +473,16 @@ TEST(CampaignCoordinated, CountsAreKInvariantAndStopHistoryAgrees) {
 }
 
 TEST(CampaignCoordinated, SingleShardEqualsShardLocalBitForBit) {
-    // With K = 1 the merged clustering IS the shard's clustering, so
-    // coordinated and shard-local stopping see identical inputs and must
-    // make identical decisions — measurement for measurement.
+    // Coordinated and shard-local plans both stop on the clustering of all
+    // algorithms; coordination only records the stop-set history, so the
+    // two make identical decisions — measurement for measurement.
     const campaign::CampaignSpec coordinated = coordinated_spec();
     const campaign::CampaignSpec shard_local = adaptive_spec();
     const campaign::CoordinatedCampaignResult coord =
         campaign::run_coordinated_campaign(coordinated, 1);
-    const campaign::ShardResult local = campaign::run_shard(shard_local, 0, 1);
+    const core::AnalysisResult local = campaign::run_campaign(shard_local, 1);
     expect_sets_identical(coord.analysis.measurements, local.measurements);
-    EXPECT_EQ(coord.analysis.samples_per_alg,
-              local.manifest.samples_per_algorithm);
+    EXPECT_EQ(coord.analysis.samples_per_alg, local.samples_per_alg);
 }
 
 TEST(CampaignCoordinated, MergeRejectsMismatchedCoordinationPlans) {
@@ -500,20 +491,10 @@ TEST(CampaignCoordinated, MergeRejectsMismatchedCoordinationPlans) {
         campaign::run_coordinated_campaign(spec, 2);
     // Two files of the coordinated run, each manifest recording the
     // coordinated plan and the broadcast history.
-    const campaign::Sharder sharder(coord.analysis.measurements.size(), 2);
-    std::vector<campaign::ShardResult> sliced;
-    for (std::size_t i = 0; i < sharder.shard_count(); ++i) {
-        const campaign::ShardPlan plan = sharder.plan(i);
-        campaign::ShardResult shard;
-        for (const std::size_t index : plan.assignment_indices) {
-            const auto samples = coord.analysis.measurements.samples(index);
-            shard.measurements.add(coord.analysis.measurements.name(index),
-                                   {samples.begin(), samples.end()});
-        }
-        shard.manifest = campaign::plan_manifest(spec, plan.index, plan.count,
-                                                 shard.measurements);
+    std::vector<campaign::ShardResult> sliced =
+        relperf::test::slice_shards(spec, coord.analysis.measurements, 2);
+    for (campaign::ShardResult& shard : sliced) {
         shard.manifest.stopset_rounds = coord.stopset_rounds;
-        sliced.push_back(std::move(shard));
     }
 
     // Shard-local shards under a coordinated spec (and vice versa).
@@ -539,13 +520,10 @@ TEST(CampaignCoordinated, MergeRejectsMismatchedCoordinationPlans) {
 }
 
 TEST(CampaignCoordinated, RunShardRejectsCoordinatedSpecs) {
-    // A lone shard runner cannot see the merged clustering, so measuring a
-    // coordinated spec shard-by-shard would silently produce shard-local
-    // counts under a coordinated plan hash.
+    // A lone shard cannot see the merged clustering its stop decisions
+    // watch; coordinated plans are adaptive, so run_shard refuses them.
     const campaign::CampaignSpec spec = coordinated_spec();
     EXPECT_THROW((void)campaign::run_shard(spec, 0, 2),
-                 relperf::InvalidArgument);
-    EXPECT_THROW((void)campaign::LocalShardRunner(2).run(spec, 2),
                  relperf::InvalidArgument);
 }
 
@@ -564,7 +542,7 @@ TEST(CampaignCoordinated, RunCampaignRoutesCoordinatedSpecs) {
 
 TEST(CampaignCoordinated, RequiresAnAdaptiveCoordinatedSpec) {
     // Fixed-N specs have no rounds to coordinate; shard-local adaptive specs
-    // must go through run_shard/run_campaign.
+    // go through run_campaign.
     EXPECT_THROW(
         (void)campaign::run_coordinated_campaign(small_spec(), 2),
         relperf::Error);

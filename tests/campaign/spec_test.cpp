@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 namespace campaign = relperf::campaign;
 
@@ -130,6 +131,30 @@ TEST(CampaignSpec, ValidateRejectsOutOfRangeFields) {
     spec = campaign::CampaignSpec{};
     spec.decision_threshold = 0.4;
     EXPECT_THROW(spec.validate(), relperf::InvalidArgument);
+}
+
+TEST(CampaignSpec, ValidateRejectsNonFiniteKnobs) {
+    // ">= 0" admits infinity: an infinite tie band ties every pair into C1,
+    // and an infinite delay would sleep forever on the real executor.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double bad : {inf, nan}) {
+        campaign::CampaignSpec spec;
+        spec.tie_epsilon = bad;
+        EXPECT_THROW(spec.validate(), relperf::InvalidArgument);
+        spec = campaign::CampaignSpec{};
+        spec.dispatch_delay_us = bad;
+        EXPECT_THROW(spec.validate(), relperf::InvalidArgument);
+        spec = campaign::CampaignSpec{};
+        spec.switch_delay_us = bad;
+        EXPECT_THROW(spec.validate(), relperf::InvalidArgument);
+    }
+    // The spec text reaches the same check through parse().
+    EXPECT_THROW((void)campaign::CampaignSpec::parse("tie_epsilon = inf\n"),
+                 relperf::Error);
+    EXPECT_THROW(
+        (void)campaign::CampaignSpec::parse("dispatch_delay_us = inf\n"),
+        relperf::Error);
 }
 
 TEST(CampaignSpec, HashCoversTheMeasurementPlanOnly) {

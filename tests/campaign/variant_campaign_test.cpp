@@ -137,9 +137,10 @@ TEST(VariantCampaign, ShardedMergeIsBitIdenticalToSingleProcess) {
 
     for (const std::size_t shards : {std::size_t{1}, std::size_t{3},
                                      std::size_t{5}}) {
-        const campaign::LocalShardRunner runner(2);
-        const std::vector<campaign::ShardResult> results =
-            runner.run(spec, shards);
+        std::vector<campaign::ShardResult> results;
+        for (std::size_t i = 0; i < shards; ++i) {
+            results.push_back(campaign::run_shard(spec, i, shards));
+        }
         const core::MeasurementSet merged =
             campaign::merge_shards(spec, results);
         ASSERT_EQ(merged.size(), direct.size());
@@ -213,7 +214,7 @@ TEST(VariantCampaign, MergeRejectsAxisMismatch) {
 
 TEST(VariantCampaign, RunCampaignClustersTheWholeAxis) {
     const campaign::CampaignSpec spec = variant_spec();
-    const core::AnalysisResult result = campaign::run_campaign(spec, 4, 2);
+    const core::AnalysisResult result = campaign::run_campaign(spec, 4);
     EXPECT_EQ(result.measurements.size(), 16u);
     EXPECT_TRUE(result.measurements.contains("algD:portable,A:reference"));
     EXPECT_GE(result.clustering.cluster_count(), 1);

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -156,6 +157,10 @@ TEST(BootstrapComparatorConfig, ValidationCatchesBadKnobs) {
     EXPECT_THROW(BootstrapComparator{cfg}, relperf::InvalidArgument);
     cfg = {};
     cfg.tie_epsilon = -0.1;
+    EXPECT_THROW(BootstrapComparator{cfg}, relperf::InvalidArgument);
+    cfg.tie_epsilon = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(BootstrapComparator{cfg}, relperf::InvalidArgument);
+    cfg.tie_epsilon = std::numeric_limits<double>::quiet_NaN();
     EXPECT_THROW(BootstrapComparator{cfg}, relperf::InvalidArgument);
     cfg = {};
     cfg.decision_threshold = 0.0;

@@ -1,13 +1,14 @@
 //! The adaptive refactor's hard invariant, asserted end to end: with
 //! adaptive off (`max_n == min_n`, i.e. spec.adaptive_min == measurements)
 //! the engine-backed paths reproduce the legacy fixed-N batch bit for bit —
-//! through core::analyze_chain and through the campaign shard -> merge round
-//! trip, for K in {1, 3}, on the simulated and the real executor, over plain
-//! assignments and placement x backend variants. (Real-executor *values* are
+//! through core::analyze_chain and through the campaign run and its shard
+//! file round trip, for K in {1, 3}, on the simulated and the real
+//! executor, over plain assignments and placement x backend variants. (Real-executor *values* are
 //! wall-clock and can never be compared across runs; there the invariant is
 //! the structure: same algorithms, same counts, same stream consumption.)
 
 #include "campaign/campaign.hpp"
+#include "campaign/shard_slices.hpp"
 #include "core/pipeline.hpp"
 #include "sim/analytic.hpp"
 #include "sim/profile.hpp"
@@ -105,8 +106,8 @@ TEST(AdaptiveOffInvariant, CampaignMergeIsBitIdenticalOnSim) {
         const campaign::CampaignSpec engine = engine_off_spec(legacy);
         EXPECT_NE(legacy.hash(), engine.hash()); // different plans on paper...
         for (const std::size_t k : {std::size_t{1}, std::size_t{3}}) {
-            const core::AnalysisResult a = campaign::run_campaign(legacy, k, 1);
-            const core::AnalysisResult b = campaign::run_campaign(engine, k, 1);
+            const core::AnalysisResult a = campaign::run_campaign(legacy, k);
+            const core::AnalysisResult b = campaign::run_campaign(engine, k);
             SCOPED_TRACE(std::string(axis.label) + " K=" + std::to_string(k));
             expect_sets_identical(a.measurements, b.measurements, true);
             expect_clusterings_identical(a.clustering, b.clustering);
@@ -120,8 +121,8 @@ TEST(AdaptiveOffInvariant, CampaignMergeKeepsStructureOnReal) {
             base_spec(campaign::ExecutorKind::Real, axis.variants);
         const campaign::CampaignSpec engine = engine_off_spec(legacy);
         for (const std::size_t k : {std::size_t{1}, std::size_t{3}}) {
-            const core::AnalysisResult a = campaign::run_campaign(legacy, k, 1);
-            const core::AnalysisResult b = campaign::run_campaign(engine, k, 1);
+            const core::AnalysisResult a = campaign::run_campaign(legacy, k);
+            const core::AnalysisResult b = campaign::run_campaign(engine, k);
             SCOPED_TRACE(std::string(axis.label) + " K=" + std::to_string(k));
             // Wall-clock values differ run to run by nature; names and
             // per-algorithm counts must agree exactly.
@@ -132,16 +133,18 @@ TEST(AdaptiveOffInvariant, CampaignMergeKeepsStructureOnReal) {
 
 TEST(AdaptiveOffInvariant, ShardFileRoundTripIsBitIdentical) {
     // The CSV persistence of an engine-backed shard (manifest adaptive lines
-    // included) merges to the same bytes as the in-memory path.
+    // included) merges to the same bytes as the in-memory path. run_shard
+    // refuses adaptive plans, so the shards are cut from the engine run.
     const campaign::CampaignSpec spec =
         engine_off_spec(base_spec(campaign::ExecutorKind::Sim, false));
-    std::vector<campaign::ShardResult> in_memory;
+    const std::vector<campaign::ShardResult> in_memory =
+        relperf::test::slice_shards(
+            spec, campaign::run_campaign(spec).measurements, 3);
     std::vector<campaign::ShardResult> reloaded;
     for (std::size_t i = 0; i < 3; ++i) {
-        in_memory.push_back(campaign::run_shard(spec, i, 3));
         const std::string path = relperf::test::temp_path(
             "shard_" + std::to_string(i) + ".csv");
-        campaign::write_shard_csv(in_memory.back(), path);
+        campaign::write_shard_csv(in_memory[i], path);
         reloaded.push_back(campaign::read_shard_csv(path));
         std::remove(path.c_str());
     }
@@ -184,9 +187,9 @@ TEST(AdaptiveCampaign, ShardedRunIsDeterministicAndPrefixOfFixed) {
     adaptive.adaptive_batch = 4;
     adaptive.adaptive_stability = 2;
 
-    const core::AnalysisResult full = campaign::run_campaign(fixed, 3, 1);
-    const core::AnalysisResult once = campaign::run_campaign(adaptive, 3, 1);
-    const core::AnalysisResult twice = campaign::run_campaign(adaptive, 3, 1);
+    const core::AnalysisResult full = campaign::run_campaign(fixed, 3);
+    const core::AnalysisResult once = campaign::run_campaign(adaptive, 3);
+    const core::AnalysisResult twice = campaign::run_campaign(adaptive, 3);
 
     // Deterministic: the same adaptive plan keeps the same counts + values.
     expect_sets_identical(once.measurements, twice.measurements, true);
@@ -241,7 +244,7 @@ TEST(CoordinatedCampaign, SamplesStayAPrefixOfTheFixedNPlan) {
     campaign::CampaignSpec fixed =
         base_spec(campaign::ExecutorKind::Sim, false);
     fixed.measurements = 20;
-    const core::AnalysisResult full = campaign::run_campaign(fixed, 3, 1);
+    const core::AnalysisResult full = campaign::run_campaign(fixed, 3);
 
     campaign::CampaignSpec coordinated = fixed;
     coordinated.adaptive_min = 6;
@@ -269,8 +272,8 @@ TEST(CoordinatedCampaign, SamplesStayAPrefixOfTheFixedNPlan) {
 }
 
 TEST(CoordinatedCampaign, SingleShardMatchesShardLocalStopping) {
-    // With one shard the coordinator's merged clustering is the shard's own
-    // clustering, so coordinated and shard-local adaptive runs coincide.
+    // Both plans stop on the clustering of all algorithms; coordination
+    // only records the stop-set history, so the runs coincide.
     campaign::CampaignSpec local = base_spec(campaign::ExecutorKind::Sim, false);
     local.measurements = 20;
     local.adaptive_min = 6;
@@ -279,9 +282,9 @@ TEST(CoordinatedCampaign, SingleShardMatchesShardLocalStopping) {
     campaign::CampaignSpec coordinated = local;
     coordinated.adaptive_coordinated = true;
 
-    const campaign::ShardResult shard = campaign::run_shard(local, 0, 1);
+    const core::AnalysisResult shard_local = campaign::run_campaign(local, 1);
     const campaign::CoordinatedCampaignResult coord =
         campaign::run_coordinated_campaign(coordinated, 1);
-    expect_sets_identical(coord.analysis.measurements, shard.measurements,
-                          true);
+    expect_sets_identical(coord.analysis.measurements,
+                          shard_local.measurements, true);
 }

@@ -5,6 +5,7 @@
 //! dark one.
 #include "campaign/campaign.hpp"
 
+#include "campaign/shard_slices.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
 #include "obs/metrics.hpp"
@@ -57,8 +58,10 @@ struct RunFiles {
     std::string shard;
 };
 
-/// Runs the campaign twice over (run_campaign for the merged analysis,
-/// run_shard for a persisted shard file) and returns the CSV bytes. With
+/// Runs the campaign (run_campaign for the merged analysis) and persists one
+/// shard file (run_shard for a fixed-N plan; for an adaptive plan, which
+/// run_shard refuses, shard 0 cut from the run by plan_manifest as the
+/// result cache cuts its entries) and returns the CSV bytes. With
 /// `instrumented`, the full obs surface is live: tracing, metrics and a
 /// progress sink. The shard manifest's provenance block is a function of
 /// build + host, not of the obs switches, so it must not differ either.
@@ -77,7 +80,7 @@ RunFiles run_everything(const campaign::CampaignSpec& spec, bool instrumented,
 
     RunFiles files;
 
-    const core::AnalysisResult result = campaign::run_campaign(spec, 2, 1);
+    const core::AnalysisResult result = campaign::run_campaign(spec, 2);
     const std::string measurements_path =
         relperf::test::temp_path(tag + "_measurements.csv");
     const std::string clustering_path =
@@ -86,7 +89,10 @@ RunFiles run_everything(const campaign::CampaignSpec& spec, bool instrumented,
     core::write_clustering_csv(result.clustering, result.measurements,
                                clustering_path);
 
-    const campaign::ShardResult shard = campaign::run_shard(spec, 0, 2);
+    const campaign::ShardResult shard =
+        spec.adaptive()
+            ? relperf::test::slice_shards(spec, result.measurements, 2)[0]
+            : campaign::run_shard(spec, 0, 2);
     const std::string shard_path = relperf::test::temp_path(tag + "_shard.csv");
     campaign::write_shard_csv(shard, shard_path);
 
@@ -224,10 +230,8 @@ TEST_F(DeterminismTest, CoordinatedCampaignIsByteIdenticalWithObsOn) {
         core::write_clustering_csv(coord.analysis.clustering,
                                    coord.analysis.measurements,
                                    clustering_path);
-        campaign::ShardResult entry;
-        entry.measurements = coord.analysis.measurements;
-        entry.manifest =
-            campaign::plan_manifest(spec, 0, 1, entry.measurements);
+        campaign::ShardResult entry = relperf::test::slice_shards(
+            spec, coord.analysis.measurements, 1)[0];
         entry.manifest.stopset_rounds = coord.stopset_rounds;
         campaign::write_shard_csv(entry, shard_path);
 

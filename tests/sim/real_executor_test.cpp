@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace sim = relperf::sim;
 namespace workloads = relperf::workloads;
 using relperf::stats::Rng;
@@ -69,6 +71,19 @@ TEST(RealExecutor, InvalidConfigurationThrows) {
                  relperf::InvalidArgument);
     EXPECT_THROW(sim::RealExecutor(EmulatedDevice{1, -1.0, 0.0},
                                    EmulatedDevice{1, 0.0, 0.0}),
+                 relperf::InvalidArgument);
+    // A non-finite delay would reach sleep_for; refuse it up front.
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(sim::RealExecutor(EmulatedDevice{1, 0.0, 0.0},
+                                   EmulatedDevice{1, inf, 0.0}),
+                 relperf::InvalidArgument);
+    EXPECT_THROW(sim::RealExecutor(EmulatedDevice{1, 0.0, 0.0},
+                                   EmulatedDevice{1, 0.0, inf}),
+                 relperf::InvalidArgument);
+    EXPECT_THROW(sim::RealExecutor(
+                     EmulatedDevice{1, 0.0,
+                                    std::numeric_limits<double>::quiet_NaN()},
+                     EmulatedDevice{1, 0.0, 0.0}),
                  relperf::InvalidArgument);
 }
 

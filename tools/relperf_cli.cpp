@@ -8,10 +8,10 @@
 //!   $ relperf --input measurements.csv
 //!   $ relperf --input measurements.csv --rep 200 --out clusters.csv --matrix
 //!
-//! **Sharded measurement campaigns** (see src/campaign/): describe the plan
-//! once, run shards anywhere — possibly different machines — and merge the
-//! shard files centrally. The merged clustering is bit-identical to a
-//! single-process run of the same spec:
+//! **Sharded measurement campaigns** (see src/campaign/): describe a
+//! fixed-N plan once, run shards anywhere — possibly different machines —
+//! and merge the shard files centrally. The merged clustering is
+//! bit-identical to a single-process run of the same spec:
 //!
 //!   $ relperf --campaign-init plan.spec            # 1. emit the plan
 //!   $ relperf --campaign plan.spec --shard 0/4 --out shard_0.csv
@@ -19,21 +19,20 @@
 //!   $ relperf --campaign plan.spec --merge 'shard_*.csv'           # 3. cluster
 //!   $ relperf --campaign plan.spec --run --shards 4              # one host
 //!
-//! On one host (--run) splitting changes no measured value, so a plan whose
-//! stop decisions do not depend on K — fixed-N, coordinated, or adaptive
-//! with one shard — is measured once through one engine, with or without
-//! the result cache (--cache-dir). Only shard-local adaptive stopping with
-//! K > 1 runs its shards, on --workers threads, and merges them.
+//! On one host (--run) splitting changes no measured value, so every plan
+//! is measured once through one engine, with or without the result cache
+//! (--cache-dir), and --shards only validates the split.
 //!
 //! Adaptive campaigns (--adaptive, --min-n/--max-n/--batch/--stability)
 //! measure incrementally and stop algorithms whose performance-class
 //! membership stabilized, reporting the measurements saved against the
-//! fixed-N plan; --samples-csv records the per-algorithm counts.
-//! --coordinated (with --run) coordinates the stopping across shards — the
-//! coordinator re-clusters the merged measurements between rounds and
-//! broadcasts the global stop-set, so per-algorithm counts are K-invariant;
+//! fixed-N plan; --samples-csv records the per-algorithm counts. Their stop
+//! decisions watch the clustering of all algorithms, so they run with --run
+//! only (--shard refuses them) and their counts never depend on K.
+//! --coordinated adds the coordinator's bookkeeping — the per-round global
+//! stop-set a K-shard split would broadcast, recorded by --stopset-csv;
 //! --confidence <q> swaps the stability rule for the confidence-targeted
-//! one, and --stopset-csv records the coordinator's per-round stop-set.
+//! one.
 //!
 //! Input format (written by core::write_measurements_csv, campaign shard
 //! files and the experiment benches' --csv option; bench_micro_kernels is the
@@ -113,11 +112,6 @@ int cluster_diff(const std::string& pair) {
     return diff.identical() ? 0 : 1;
 }
 
-/// Applies the --adaptive/--min-n/--max-n/--batch/--stability overrides to a
-/// campaign spec. Any of the four value options implies --adaptive; enabling
-/// adaptive on a fixed-N spec starts from min_n = 10. Like --backend, these
-/// change the measurement plan (and the spec hash): every shard and the
-/// merge must be invoked with the same adaptive options.
 /// True when any adaptive option was given — the one list both
 /// apply_adaptive_overrides and the --input-mode guard consult.
 bool adaptive_options_present(const support::CliParser& cli) {
@@ -129,6 +123,11 @@ bool adaptive_options_present(const support::CliParser& cli) {
            cli.value_optional("confidence").has_value();
 }
 
+/// Applies the --adaptive/--min-n/--max-n/--batch/--stability overrides to a
+/// campaign spec. Any of the four value options implies --adaptive; enabling
+/// adaptive on a fixed-N spec starts from min_n = 10. Like --backend, these
+/// change the measurement plan (and the spec hash, which keys the result
+/// cache).
 void apply_adaptive_overrides(const support::CliParser& cli,
                               campaign::CampaignSpec& spec) {
     if (!adaptive_options_present(cli)) return;
@@ -248,6 +247,12 @@ int campaign_init(const support::CliParser& cli, const std::string& path,
     warn_unregistered_backends(spec);
     spec.save(path);
     std::printf("campaign spec written to %s\n\n", path.c_str());
+    if (spec.adaptive()) {
+        // The stop decisions watch all algorithms: one host runs the plan.
+        std::printf("next step:\n  relperf --campaign %s --run\n",
+                    path.c_str());
+        return 0;
+    }
     std::printf("next steps (K = any shard count, here 2):\n"
                 "  relperf --campaign %s --shard 0/2 --out shard_0.csv\n"
                 "  relperf --campaign %s --shard 1/2 --out shard_1.csv\n"
@@ -272,14 +277,10 @@ int campaign_shard(const campaign::CampaignSpec& spec, const std::string& ref_te
             ? spec.backend
             : spec.backend + ", per-task axis " +
                   str::join(spec.variant_backends, "|");
-    const std::string n_label =
-        spec.adaptive() ? str::format("%zu..%zu (adaptive)", spec.adaptive_min,
-                                      spec.measurements)
-                        : std::to_string(spec.measurements);
-    std::printf("campaign '%s' shard %zu/%zu: %zu algorithms x %s "
+    std::printf("campaign '%s' shard %zu/%zu: %zu algorithms x %zu "
                 "measurements -> %s (backend %s, spec hash %016llx)\n",
                 spec.name.c_str(), ref.index, ref.count,
-                shard.measurements.size(), n_label.c_str(),
+                shard.measurements.size(), spec.measurements,
                 out_path->c_str(), backend_label.c_str(),
                 static_cast<unsigned long long>(shard.manifest.spec_hash));
     report_adaptive(spec, shard.measurements, samples_csv);
@@ -324,7 +325,7 @@ int campaign_merge(const campaign::CampaignSpec& spec, const std::string& patter
 }
 
 int campaign_run(const campaign::CampaignSpec& spec, std::size_t shard_count,
-                 std::size_t workers, const cache::CacheConfig& cache_cfg,
+                 const cache::CacheConfig& cache_cfg,
                  bool cache_stats,
                  const std::optional<std::string>& out_path,
                  const std::optional<std::string>& merged_csv,
@@ -344,20 +345,16 @@ int campaign_run(const campaign::CampaignSpec& spec, std::size_t shard_count,
                     spec.adaptive_confidence != 0.0 ? "confidence"
                                                     : "stability");
     } else {
-        std::printf("campaign '%s': %zu shards, %s workers\n\n",
-                    spec.name.c_str(), shard_count,
-                    workers == 0 ? "all" : std::to_string(workers).c_str());
+        std::printf("campaign '%s': %zu shards\n\n", spec.name.c_str(),
+                    shard_count);
     }
 
     // A disabled cache (no --cache-dir) degrades to the plain campaign run.
     cache::ResultCache result_cache(cache_cfg);
-    cache::CachedRunResult run = cache::run_campaign_cached(
-        spec, result_cache, shard_count, workers);
+    cache::CachedRunResult run =
+        cache::run_campaign_cached(spec, result_cache, shard_count);
     if (cache_cfg.enabled()) {
-        std::printf("cache: %s%s\n", cache::to_string(run.cache),
-                    run.bypassed ? " (shard-local adaptive stopping with "
-                                   "K > 1 shards is not cacheable)"
-                                 : "");
+        std::printf("cache: %s\n", cache::to_string(run.cache));
         if (cache_stats) print_cache_stats(result_cache);
     }
     const core::AnalysisResult& result = run.analysis;
@@ -391,29 +388,31 @@ int campaign_run(const campaign::CampaignSpec& spec, std::size_t shard_count,
 }
 
 int analyze_input(const support::CliParser& cli, const std::string& input) {
-    core::MeasurementSet loaded = core::read_measurements_csv(input);
+    // Checked parses: a cast of a negative int would turn "--rep -1" into
+    // 2^64 - 1 repetitions.
+    const std::size_t n_max = str::parse_size(cli.value("n-max"), "--n-max");
+    core::AnalysisConfig config;
+    config.comparator.rounds =
+        str::parse_positive_size(cli.value("rounds"), "--rounds");
+    config.comparator.tie_epsilon = cli.value_double("tie-epsilon");
+    config.comparator.decision_threshold = cli.value_double("threshold");
+    config.clustering.repetitions =
+        str::parse_positive_size(cli.value("rep"), "--rep");
+    config.clustering.seed = str::parse_u64(cli.value("seed"), "--seed");
 
     // Optional truncation (simulate a smaller N).
-    const int n_max = cli.value_int("n-max");
+    core::MeasurementSet loaded = core::read_measurements_csv(input);
     core::MeasurementSet measurements;
     if (n_max > 0) {
         for (std::size_t i = 0; i < loaded.size(); ++i) {
             const auto samples = loaded.samples(i);
-            const std::size_t keep =
-                std::min(samples.size(), static_cast<std::size_t>(n_max));
+            const std::size_t keep = std::min(samples.size(), n_max);
             measurements.add(loaded.name(i),
                              {samples.begin(), samples.begin() + keep});
         }
     } else {
         measurements = std::move(loaded);
     }
-
-    core::AnalysisConfig config;
-    config.comparator.rounds = static_cast<std::size_t>(cli.value_int("rounds"));
-    config.comparator.tie_epsilon = cli.value_double("tie-epsilon");
-    config.comparator.decision_threshold = cli.value_double("threshold");
-    config.clustering.repetitions = static_cast<std::size_t>(cli.value_int("rep"));
-    config.clustering.seed = static_cast<std::uint64_t>(cli.value_int("seed"));
 
     std::printf("relperf: %zu algorithms from %s\n\n", measurements.size(),
                 input.c_str());
@@ -467,16 +466,13 @@ support::CliParser build_cli() {
     cli.add_option("campaign", "campaign spec file (enables the campaign "
                                "modes below; analysis knobs come from the "
                                "spec)", "");
-    cli.add_option("shard", "run one shard 'i/K' of the campaign (0-based); "
-                            "requires --out", "");
+    cli.add_option("shard", "run one shard 'i/K' of a fixed-N campaign "
+                            "(0-based); requires --out", "");
     cli.add_option("merge", "merge shard files (glob pattern or "
                             "comma-separated paths) and cluster", "");
     cli.add_flag("run", "run the whole campaign on this machine and cluster");
     cli.add_option("shards", "override the spec's shard count for --run "
                              "(0 = spec value)", "0");
-    cli.add_option("workers", "worker threads for --run of a shard-local "
-                              "adaptive plan with K > 1 shards (0 = all "
-                              "cores)", "1");
     cli.add_option("merged-csv", "also write the merged measurements CSV here "
                                  "(--merge/--run modes)", "");
     cli.add_option("backend", "chain-default linalg backend for campaign "
@@ -500,11 +496,9 @@ support::CliParser build_cli() {
     cli.add_option("stability", "adaptive: consecutive stable clusterings "
                                 "before an algorithm stops (implies "
                                 "--adaptive; default 2)", "");
-    cli.add_flag("coordinated", "adaptive --run: coordinate stopping across "
-                                "shards — re-cluster the merged measurements "
-                                "between rounds and broadcast the global "
-                                "stop-set (implies --adaptive; counts become "
-                                "K-invariant)");
+    cli.add_flag("coordinated", "adaptive --run: record the coordinator's "
+                                "per-round global stop-set for the K-shard "
+                                "split (implies --adaptive)");
     cli.add_option("confidence", "adaptive: stop on the confidence-targeted "
                                  "rule at this one-sided level, in (0.5, 1) "
                                  "(implies --adaptive; unset = stability "
@@ -675,7 +669,6 @@ int run_modes(const support::CliParser& cli) {
         }
         return campaign_run(spec,
                             str::parse_size(cli.value("shards"), "--shards"),
-                            str::parse_size(cli.value("workers"), "--workers"),
                             cache_cfg, cache_stats,
                             cli.value_optional("out"),
                             cli.value_optional("merged-csv"),
