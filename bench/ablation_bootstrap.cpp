@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
     const sim::CalibratedProfile profile = sim::paper_rls_profile();
     const sim::SimulatedExecutor executor(profile, sim::NoiseModel{});
     const auto assignments = workloads::enumerate_assignments(chain.size());
-    const std::uint64_t seed = static_cast<std::uint64_t>(cli.value_int("seed"));
-    const std::size_t rep = static_cast<std::size_t>(cli.value_int("rep"));
+    const std::uint64_t seed = cli.value_size("seed");
+    const std::size_t rep = cli.value_size("rep");
 
     const auto run = [&](std::size_t n, core::BootstrapComparatorConfig cmp_cfg,
                          const std::string& label) {

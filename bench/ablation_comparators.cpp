@@ -26,10 +26,10 @@ int main(int argc, char** argv) {
     const sim::SimulatedExecutor executor(profile, sim::NoiseModel{});
     const auto assignments = workloads::enumerate_assignments(chain.size());
 
-    stats::Rng rng(static_cast<std::uint64_t>(cli.value_int("seed")));
+    stats::Rng rng(cli.value_size("seed"));
     const core::MeasurementSet set = core::measure_assignments(
         executor, chain, assignments,
-        static_cast<std::size_t>(cli.value_int("n")), rng);
+        cli.value_size("n"), rng);
 
     std::vector<std::unique_ptr<core::Comparator>> comparators;
     comparators.push_back(std::make_unique<core::BootstrapComparator>());
@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
     for (const auto& cmp : comparators) {
         const core::RelativeClusterer clusterer(
             *cmp, core::ClustererConfig{
-                      static_cast<std::size_t>(cli.value_int("rep")),
-                      static_cast<std::uint64_t>(cli.value_int("seed")) + 1});
+                      cli.value_size("rep"),
+                      cli.value_size("seed") + 1});
         clusterings.push_back(clusterer.cluster(set));
         header.push_back(cmp->name());
     }

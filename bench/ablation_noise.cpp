@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     const workloads::TaskChain chain = workloads::paper_rls_chain(10);
     const sim::CalibratedProfile profile = sim::paper_rls_profile();
     const auto assignments = workloads::enumerate_assignments(chain.size());
-    const std::size_t n = static_cast<std::size_t>(cli.value_int("n"));
+    const std::size_t n = cli.value_size("n");
 
     bench::section("Cluster structure vs noise (Table I workload, N = " +
                    cli.value("n") + ")");

@@ -1,14 +1,14 @@
 //! Analysis hot paths at scale: comparator score ns/op (against an in-bench
 //! reproduction of the pre-scratch two-full-sorts implementation), clusterer
 //! wall time vs p (sparse rank tallies), the adaptive engine end to end,
-//! coordinated-stopping sample budgets vs shard count for both stopping
-//! rules, and the result cache's cold/exact-hit/prefix-extension run costs.
+//! the sample budget of each stopping rule on one campaign plan, and the
+//! result cache's cold/exact-hit/prefix-extension run costs.
 //! This bench times its own loops with steady_clock (allowlisted in
 //! ci/lint_allow.txt); nothing here feeds measurement CSVs.
 
 #include "bench_common.hpp"
 #include "cache/cached_campaign.hpp"
-#include "campaign/runner.hpp"
+#include "campaign/merge.hpp"
 #include "campaign/spec.hpp"
 #include "core/bootstrap_comparator.hpp"
 #include "core/clustering.hpp"
@@ -160,11 +160,11 @@ int main(int argc, char** argv) {
     cli.add_option("iters", "score calls per timing measurement", "200");
     if (!cli.parse(argc, argv)) return 0;
 
-    const auto n = static_cast<std::size_t>(cli.value_int("n"));
-    const auto iters = static_cast<std::size_t>(cli.value_int("iters"));
-    const auto seed = static_cast<std::uint64_t>(cli.value_int("seed"));
+    const auto n = cli.value_size("n");
+    const auto iters = cli.value_size("iters");
+    const auto seed = cli.value_size("seed");
     core::BootstrapComparatorConfig comparator_config;
-    comparator_config.rounds = static_cast<std::size_t>(cli.value_int("rounds"));
+    comparator_config.rounds = cli.value_size("rounds");
 
     std::vector<Row> rows;
     double checksum = 0.0; // consumes every score so nothing is optimized out
@@ -268,58 +268,46 @@ int main(int argc, char** argv) {
                         static_cast<double>(result.saved_samples())});
     }
 
-    // --- Section 4: coordinated stopping — sample budget vs shard count. --
-    // The coordinator's stop decisions watch the *merged* clustering, so the
-    // per-algorithm counts should be K-invariant by construction; this
-    // section measures that claim (and the two stopping rules' budgets)
-    // instead of assuming it. The spec uses 4 task sizes = 16 placement
-    // algorithms so K = 16 is admissible — the sharder caps K at the
-    // variant count.
-    bench::section("Coordinated stopping (16 algorithms, K in {1, 4, 16})");
+    // --- Section 4: stopping rules — one plan, each rule's budget. -------
+    // Both rules watch the clustering of all algorithms; they differ in when
+    // a membership counts as settled. The same 16-algorithm plan (4 task
+    // sizes) runs whole through run_campaign under each rule, so the rows
+    // put a sample budget, a round count and a wall time on the choice.
+    bench::section("Stopping rules (16 algorithms, stability vs confidence)");
     {
         campaign::CampaignSpec spec;
-        spec.name = "bench-coordination";
+        spec.name = "bench-stopping";
         spec.sizes = {40, 60, 90, 140};
         spec.iters = 6;
         spec.measurements = 30;
         spec.measurement_seed = seed + 23;
         spec.adaptive_min = 10;
         spec.adaptive_batch = 5;
-        spec.adaptive_coordinated = true;
         spec.clustering_repetitions = 40;
         spec.bootstrap_rounds = 50;
 
         for (const double confidence : {0.0, 0.95}) {
             spec.adaptive_confidence = confidence;
             const char* rule = confidence == 0.0 ? "stability" : "confidence";
-            for (const std::size_t k :
-                 {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-                const auto start = std::chrono::steady_clock::now();
-                const campaign::CoordinatedCampaignResult coordinated =
-                    campaign::run_coordinated_campaign(spec, k);
-                const double wall_ms = seconds_since(start) * 1e3;
-                checksum +=
-                    coordinated.analysis.clustering.final_assignment[0].score;
+            const auto start = std::chrono::steady_clock::now();
+            const core::AnalysisResult result = campaign::run_campaign(spec);
+            const double wall_ms = seconds_since(start) * 1e3;
+            checksum += result.clustering.final_assignment[0].score;
 
-                const std::size_t total = coordinated.analysis.total_samples;
-                const std::size_t saved =
-                    coordinated.analysis.fixed_n_samples - total;
-                std::printf("  %-10s K = %2zu : %3zu/%zu samples, saved %3zu "
-                            "(%zu rounds, %6.1f ms)\n",
-                            rule, k, total,
-                            coordinated.analysis.fixed_n_samples, saved,
-                            coordinated.rounds, wall_ms);
-                const std::string param =
-                    str::format("rule=%s,K=%zu", rule, k);
-                rows.push_back({"coordination", "total_samples", param,
-                                static_cast<double>(total)});
-                rows.push_back({"coordination", "saved_samples", param,
-                                static_cast<double>(saved)});
-                rows.push_back({"coordination", "rounds", param,
-                                static_cast<double>(coordinated.rounds)});
-                rows.push_back({"coordination", "run_wall_ms", param,
-                                wall_ms});
-            }
+            const std::size_t saved =
+                result.fixed_n_samples - result.total_samples;
+            std::printf("  %-10s : %3zu/%zu samples, saved %3zu (%zu rounds, "
+                        "%6.1f ms)\n",
+                        rule, result.total_samples, result.fixed_n_samples,
+                        saved, result.rounds, wall_ms);
+            const std::string param = std::string("rule=") + rule;
+            rows.push_back({"stopping", "total_samples", param,
+                            static_cast<double>(result.total_samples)});
+            rows.push_back({"stopping", "saved_samples", param,
+                            static_cast<double>(saved)});
+            rows.push_back({"stopping", "rounds", param,
+                            static_cast<double>(result.rounds)});
+            rows.push_back({"stopping", "run_wall_ms", param, wall_ms});
         }
     }
 
@@ -352,7 +340,7 @@ int main(int argc, char** argv) {
                                    const char* tier) {
             const auto start = std::chrono::steady_clock::now();
             const cache::CachedRunResult run =
-                cache::run_campaign_cached(plan, result_cache, 1);
+                cache::run_campaign_cached(plan, result_cache);
             const double wall_ms = seconds_since(start) * 1e3;
             checksum += run.analysis.clustering.final_assignment[0].score;
             std::printf("  %-6s : %8.1f ms — %s, %zu/%zu samples from "

@@ -56,8 +56,8 @@ inline core::AnalysisConfig analysis_config(const support::CliParser& cli,
                                             std::size_t measurements) {
     core::AnalysisConfig config;
     config.measurements_per_alg = measurements;
-    config.clustering.repetitions = static_cast<std::size_t>(cli.value_int("rep"));
-    config.measurement_seed = static_cast<std::uint64_t>(cli.value_int("seed"));
+    config.clustering.repetitions = cli.value_size("rep");
+    config.measurement_seed = cli.value_size("seed");
     config.clustering.seed = config.measurement_seed * 7919 + 17;
     return config;
 }

@@ -54,14 +54,14 @@ int main(int argc, char** argv) {
     const core::EnergyBudgetSwitcher switcher(executor, energy, chain);
     core::SwitchPolicyConfig policy;
     policy.device_energy_budget_j = cli.value_double("budget-j");
-    policy.window_runs = static_cast<std::size_t>(cli.value_int("window"));
-    policy.cooldown_runs = static_cast<std::size_t>(cli.value_int("cooldown"));
+    policy.window_runs = cli.value_size("window");
+    policy.cooldown_runs = cli.value_size("cooldown");
 
-    stats::Rng rng(static_cast<std::uint64_t>(cli.value_int("seed")));
+    stats::Rng rng(cli.value_size("seed"));
     const core::SwitchTrace trace = switcher.simulate(
         workloads::DeviceAssignment(primary.name.substr(3)),
         workloads::DeviceAssignment(alternate.name.substr(3)),
-        static_cast<std::size_t>(cli.value_int("runs")), policy, rng);
+        cli.value_size("runs"), policy, rng);
 
     bench::section("Duty-cycle segments");
     support::AsciiTable table({"Algorithm", "Runs", "Seconds", "Device energy"},

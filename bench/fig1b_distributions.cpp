@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     bench::section("Figure 1b: distributions of execution times, N = " +
                    cli.value("n-large"));
     const core::AnalysisConfig big_cfg = bench::analysis_config(
-        cli, static_cast<std::size_t>(cli.value_int("n-large")));
+        cli, cli.value_size("n-large"));
     const core::AnalysisResult big =
         core::analyze_chain(executor, chain, assignments, big_cfg);
 
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     bench::section("Sec. III example: relative scores at N = " +
                    cli.value("n-small"));
     const core::AnalysisConfig small_cfg = bench::analysis_config(
-        cli, static_cast<std::size_t>(cli.value_int("n-small")));
+        cli, cli.value_size("n-small"));
     const core::AnalysisResult small =
         core::analyze_chain(executor, chain, assignments, small_cfg);
     std::fputs(

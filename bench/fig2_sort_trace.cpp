@@ -76,10 +76,10 @@ int main(int argc, char** argv) {
     const sim::CalibratedProfile profile = sim::fig1b_profile();
     const sim::SimulatedExecutor executor(profile, sim::NoiseModel{});
 
-    stats::Rng rng(static_cast<std::uint64_t>(cli.value_int("seed")));
+    stats::Rng rng(cli.value_size("seed"));
     core::MeasurementSet set = core::measure_assignments(
         executor, chain, workloads::enumerate_assignments(2),
-        static_cast<std::size_t>(cli.value_int("n")), rng);
+        cli.value_size("n"), rng);
 
     // Paper's initial sequence <DD, AA, DA, AD>.
     const std::vector<std::size_t> initial = {
@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
         const core::RelativeClusterer clusterer(comparator,
                                                 core::ClustererConfig{1, 1});
         std::vector<core::SortStep> trace;
-        stats::Rng sort_rng(static_cast<std::uint64_t>(cli.value_int("seed")) + 1);
+        stats::Rng sort_rng(cli.value_size("seed") + 1);
         (void)clusterer.sort_once_traced(set, initial, sort_rng, trace);
         std::fputs(core::render_sort_trace(trace, set).c_str(), stdout);
     }
@@ -121,8 +121,8 @@ int main(int argc, char** argv) {
         const core::BootstrapComparator comparator;
         const core::RelativeClusterer clusterer(
             comparator,
-            core::ClustererConfig{static_cast<std::size_t>(cli.value_int("rep")),
-                                  static_cast<std::uint64_t>(cli.value_int("seed"))});
+            core::ClustererConfig{cli.value_size("rep"),
+                                  cli.value_size("seed")});
         const core::Clustering clustering = clusterer.cluster(set);
         std::fputs(core::render_cluster_table(clustering, set).c_str(), stdout);
     }

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     const auto assignments = workloads::enumerate_assignments(chain.size());
 
     const core::AnalysisConfig config = bench::analysis_config(
-        cli, static_cast<std::size_t>(cli.value_int("n")));
+        cli, cli.value_size("n"));
     const core::AnalysisResult analysis =
         core::analyze_chain(executor, chain, assignments, config);
 
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
     support::AsciiTable sweep({"Train on", "Kendall tau", "Mean |rel err|"},
                               {support::Align::Right, support::Align::Right,
                                support::Align::Right});
-    stats::Rng subset_rng(static_cast<std::uint64_t>(cli.value_int("seed")) + 99);
+    stats::Rng subset_rng(cli.value_size("seed") + 99);
     for (const std::size_t train_count : {3u, 4u, 5u, 6u, 8u}) {
         // Average over random subsets.
         double tau_sum = 0.0;
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
 
     bench::section("Triplet scorer: trained on class labels only (paper Sec. I)");
     {
-        stats::Rng triplet_rng(static_cast<std::uint64_t>(cli.value_int("seed")) +
+        stats::Rng triplet_rng(cli.value_size("seed") +
                                1234);
         const model::TripletScorer scorer = model::fit_triplet_scorer(
             chain, assignments, analysis.clustering, 600, triplet_rng);

@@ -78,9 +78,9 @@ int main(int argc, char** argv) try {
 
     const std::vector<std::size_t> sizes =
         str::parse_size_list(cli.value("sizes"), "--sizes");
-    const std::size_t iters = str::parse_size(cli.value("iters"), "--iters");
-    const std::size_t n = str::parse_size(cli.value("n"), "--n");
-    const std::size_t shards = str::parse_size(cli.value("shards"), "--shards");
+    const std::size_t iters = cli.value_size("iters");
+    const std::size_t n = cli.value_size("n");
+    const std::size_t shards = cli.value_size("shards");
     const core::AnalysisConfig config = bench::analysis_config(cli, n);
 
     std::vector<std::string> variant_backends;

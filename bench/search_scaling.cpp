@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
         config.refinement_rounds = 4;
         config.batch_size = k;
         config.measurements_per_alg = 10;
-        config.seed = static_cast<std::uint64_t>(cli.value_int("seed"));
+        config.seed = cli.value_size("seed");
         const search::ModelGuidedSearch searcher(executor, chain, config);
         const search::SearchResult result = searcher.run();
 

@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
                                             "speedup"});
     }
 
-    const std::size_t n_meas = static_cast<std::size_t>(cli.value_int("n"));
-    stats::Rng rng(static_cast<std::uint64_t>(cli.value_int("seed")));
+    const std::size_t n_meas = cli.value_size("n");
+    stats::Rng rng(cli.value_size("seed"));
     for (const std::size_t n : sweep) {
         const workloads::TaskChain chain = workloads::paper_rls_chain(n);
         const double ddd = stats::mean(executor.measure(

@@ -20,13 +20,13 @@ int main(int argc, char** argv) {
     if (!cli.parse(argc, argv)) return 0;
 
     const workloads::TaskChain chain =
-        workloads::paper_rls_chain(static_cast<std::size_t>(cli.value_int("iters")));
+        workloads::paper_rls_chain(cli.value_size("iters"));
     const sim::CalibratedProfile profile = sim::paper_rls_profile();
     const sim::SimulatedExecutor executor(profile, sim::NoiseModel{});
     const auto assignments = workloads::enumerate_assignments(chain.size());
 
     const core::AnalysisConfig config = bench::analysis_config(
-        cli, static_cast<std::size_t>(cli.value_int("n")));
+        cli, cli.value_size("n"));
     const core::AnalysisResult result =
         core::analyze_chain(executor, chain, assignments, config);
 

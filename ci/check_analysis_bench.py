@@ -7,8 +7,8 @@ Asserts that
   * the header is exactly section,metric,param,value and every row is
     complete;
   * every value parses as a finite number;
-  * the four sections the bench promises (comparator, clusterer, engine,
-    coordination) are all present;
+  * the five sections the bench promises (comparator, clusterer, engine,
+    stopping, cache) are all present;
   * the comparator speedup row exists and is not catastrophically below 1
     (threshold 0.5 — lenient on purpose: CI runners are noisy and this
     check guards against the optimization regressing outright, not against
@@ -16,11 +16,8 @@ Asserts that
   * the clusterer section covers the documented problem sizes and the
     engine section carries the end-to-end adaptive run (wall time, rounds
     and saved samples, with at least one sample saved);
-  * the coordination section covers both stopping rules at K in {1, 4, 16},
-    every run saved samples, and for each rule the saved count is
-    monotonically non-decreasing in K (coordinated stopping promises
-    K-invariant counts, so any *decrease* with more shards is a bug, not
-    noise — the values are deterministic);
+  * the stopping section covers both stopping rules on the same plan, and
+    every rule saved samples (early stopping fired under each);
   * the cache section covers the cold/exact/prefix tiers, the cold run
     served nothing, the exact hit served every sample, and the prefix
     extension served the cached budget's worth (all deterministic counts,
@@ -34,11 +31,10 @@ import math
 import sys
 
 EXPECTED_HEADER = ["section", "metric", "param", "value"]
-EXPECTED_SECTIONS = {"comparator", "clusterer", "engine", "coordination",
+EXPECTED_SECTIONS = {"comparator", "clusterer", "engine", "stopping",
                      "cache"}
 SPEEDUP_FLOOR = 0.5
-COORDINATION_RULES = ("stability", "confidence")
-COORDINATION_SHARDS = (1, 4, 16)
+STOPPING_RULES = ("stability", "confidence")
 ENGINE_PARAM = "algorithms=32"
 
 
@@ -107,22 +103,16 @@ def main() -> None:
         fail(f"{path}: the adaptive engine run saved no samples — early "
              f"stopping never fired")
 
-    saved = find("coordination", "saved_samples")
-    for rule in COORDINATION_RULES:
-        previous = None
-        for shards in COORDINATION_SHARDS:
-            param = f"rule={rule},K={shards}"
-            if param not in saved:
-                fail(f"{path}: coordination saved_samples missing {param}")
-            value = saved[param]
-            if value <= 0:
-                fail(f"{path}: coordination {param} saved {value:.0f} "
-                     f"samples — adaptive stopping never fired")
-            if previous is not None and value < previous:
-                fail(f"{path}: coordination rule={rule} saved samples "
-                     f"decreased from {previous:.0f} to {value:.0f} as K "
-                     f"grew — coordinated counts must be K-invariant")
-            previous = value
+    saved = find("stopping", "saved_samples")
+    for rule in STOPPING_RULES:
+        param = f"rule={rule}"
+        for metric in ("total_samples", "saved_samples", "rounds",
+                       "run_wall_ms"):
+            if param not in find("stopping", metric):
+                fail(f"{path}: stopping {metric} missing {param}")
+        if saved[param] <= 0:
+            fail(f"{path}: stopping {param} saved {saved[param]:.0f} "
+                 f"samples — adaptive stopping never fired")
 
     cache_wall = find("cache", "run_wall_ms")
     cache_served = find("cache", "samples_from_cache")

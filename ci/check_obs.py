@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Cross-check relperf's observability outputs against each other.
 
-Usage: check_obs.py TRACE_JSON METRICS_PROM SAMPLES_CSV [--coordinated]
+Usage: check_obs.py TRACE_JSON METRICS_PROM SAMPLES_CSV
 
 Asserts that
   * the trace file is valid JSON of the Chrome trace-event object form,
@@ -12,10 +12,10 @@ Asserts that
   * relperf_samples_total equals the sum of the per-algorithm counts in the
     samples CSV — the metrics side and the measurement side of the run must
     tell the same story;
-  * with --coordinated (the run was a coordinated adaptive campaign): the
-    trace carries the campaign.coordinate span, both coordination counters
-    fired, and relperf_stopset_broadcast_total is a whole multiple of
-    relperf_coordination_rounds (each round broadcasts to every shard).
+  * the engine's round records agree (the run is an adaptive campaign): the
+    trace holds one engine.round span per relperf_adaptive_rounds, and the
+    last round's `stopped` arg equals the algorithm count of the samples
+    CSV (the final round stops every algorithm).
 
 Exits non-zero with a message naming the first violated invariant.
 """
@@ -30,7 +30,8 @@ def fail(message: str) -> None:
     sys.exit(1)
 
 
-def check_trace(path: str, coordinated: bool) -> None:
+def check_trace(path: str) -> list:
+    """Validates the trace and returns its engine.round events in order."""
     with open(path, encoding="utf-8") as handle:
         try:
             trace = json.load(handle)
@@ -55,10 +56,8 @@ def check_trace(path: str, coordinated: bool) -> None:
             fail(f"{path}: event {i} has non-integer ts/dur")
         names.add(event["name"])
 
-    expected_spans = ["engine.run", "measure_all", "clusterer.cluster"]
-    if coordinated:
-        expected_spans.append("campaign.coordinate")
-    for expected in expected_spans:
+    for expected in ("engine.run", "measure_all", "clusterer.cluster",
+                     "engine.round"):
         if expected not in names:
             fail(f"{path}: no {expected!r} span recorded (saw {sorted(names)})")
 
@@ -72,6 +71,9 @@ def check_trace(path: str, coordinated: bool) -> None:
         fail(f"{path}: droppedEvents = {other.get('droppedEvents')}")
     print(f"check_obs: {path}: {len(events)} events OK, "
           f"provenance keys: {sorted(provenance)}")
+    rounds = [e for e in events if e["name"] == "engine.round"]
+    rounds.sort(key=lambda e: e["args"].get("round", 0))
+    return rounds
 
 
 def parse_metrics(path: str) -> dict:
@@ -88,7 +90,7 @@ def parse_metrics(path: str) -> dict:
     return values
 
 
-def check_metrics(path: str, coordinated: bool) -> int:
+def check_metrics(path: str) -> dict:
     values = parse_metrics(path)
     for counter in ("relperf_samples_total", "relperf_samples_fixed_n_total",
                     "relperf_adaptive_rounds",
@@ -106,59 +108,49 @@ def check_metrics(path: str, coordinated: bool) -> int:
         fail(f"{path}: samples_total {samples_total} exceeds the fixed-N "
              f"plan cost {fixed_n_total}")
 
-    if coordinated:
-        for counter in ("relperf_coordination_rounds",
-                        "relperf_stopset_broadcast_total"):
-            if counter not in values:
-                fail(f"{path}: {counter} missing")
-        rounds = int(values["relperf_coordination_rounds"])
-        broadcasts = int(values["relperf_stopset_broadcast_total"])
-        if rounds <= 0:
-            fail(f"{path}: relperf_coordination_rounds = {rounds} — the "
-                 f"coordinator never ran a round")
-        if broadcasts <= 0 or broadcasts % rounds != 0:
-            fail(f"{path}: relperf_stopset_broadcast_total = {broadcasts} "
-                 f"is not a positive multiple of the {rounds} coordination "
-                 f"rounds — each round must broadcast to every shard")
-
     print(f"check_obs: {path}: {len(values)} samples OK, "
           f"samples_total={samples_total}")
-    return samples_total
+    return values
 
 
-def csv_sample_sum(path: str) -> int:
+def csv_sample_counts(path: str) -> list:
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames != ["algorithm", "samples"]:
             fail(f"{path}: unexpected header {reader.fieldnames}")
-        total = 0
-        rows = 0
-        for row in reader:
-            total += int(row["samples"])
-            rows += 1
-    if rows == 0:
+        counts = [int(row["samples"]) for row in reader]
+    if not counts:
         fail(f"{path}: no data rows")
-    print(f"check_obs: {path}: {rows} algorithms, {total} samples")
-    return total
+    print(f"check_obs: {path}: {len(counts)} algorithms, {sum(counts)} "
+          f"samples")
+    return counts
 
 
 def main() -> None:
-    argv = sys.argv[1:]
-    coordinated = "--coordinated" in argv
-    argv = [a for a in argv if a != "--coordinated"]
-    if len(argv) != 3:
-        fail(f"usage: {sys.argv[0]} TRACE_JSON METRICS_PROM SAMPLES_CSV "
-             f"[--coordinated]")
-    trace_path, metrics_path, samples_path = argv
+    if len(sys.argv) != 4:
+        fail(f"usage: {sys.argv[0]} TRACE_JSON METRICS_PROM SAMPLES_CSV")
+    trace_path, metrics_path, samples_path = sys.argv[1:]
 
-    check_trace(trace_path, coordinated)
-    samples_total = check_metrics(metrics_path, coordinated)
-    csv_total = csv_sample_sum(samples_path)
+    rounds = check_trace(trace_path)
+    values = check_metrics(metrics_path)
+    counts = csv_sample_counts(samples_path)
 
-    if samples_total != csv_total:
+    samples_total = int(values["relperf_samples_total"])
+    if samples_total != sum(counts):
         fail(f"relperf_samples_total ({samples_total}) != samples CSV sum "
-             f"({csv_total}) — the counters and the measurements disagree")
-    print("check_obs: OK — metrics agree with the samples CSV")
+             f"({sum(counts)}) — the counters and the measurements disagree")
+    adaptive_rounds = int(values["relperf_adaptive_rounds"])
+    if len(rounds) != adaptive_rounds:
+        fail(f"{trace_path}: {len(rounds)} engine.round spans, "
+             f"relperf_adaptive_rounds = {adaptive_rounds} — the trace and "
+             f"the counter disagree on the engine's rounds")
+    stopped = rounds[-1]["args"].get("stopped")
+    if stopped != len(counts):
+        fail(f"{trace_path}: the last engine.round stopped {stopped} "
+             f"algorithms, the samples CSV has {len(counts)} — the final "
+             f"round must stop every algorithm")
+    print(f"check_obs: OK — metrics agree with the samples CSV and the "
+          f"trace's {len(rounds)} engine rounds")
 
 
 if __name__ == "__main__":

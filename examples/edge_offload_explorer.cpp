@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     const std::vector<std::size_t> sizes =
         str::parse_size_list(cli.value("sizes"), "--sizes");
     const workloads::TaskChain chain = workloads::make_rls_chain(
-        sizes, static_cast<std::size_t>(cli.value_int("iters")),
+        sizes, cli.value_size("iters"),
         "digital-twin-chain");
 
     // 2. Pick the platform.
@@ -51,8 +51,8 @@ int main(int argc, char** argv) {
     // 3. Enumerate every split and analyze.
     const auto assignments = workloads::enumerate_assignments(chain.size());
     core::AnalysisConfig config;
-    config.measurements_per_alg = static_cast<std::size_t>(cli.value_int("n"));
-    config.measurement_seed = static_cast<std::uint64_t>(cli.value_int("seed"));
+    config.measurements_per_alg = cli.value_size("n");
+    config.measurement_seed = cli.value_size("seed");
     const core::AnalysisResult result =
         core::analyze_chain(executor, chain, assignments, config);
 

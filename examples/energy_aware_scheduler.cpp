@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     // Cluster once; derive the switching pair from the classes.
     core::AnalysisConfig config;
     config.measurements_per_alg = 30;
-    config.measurement_seed = static_cast<std::uint64_t>(cli.value_int("seed"));
+    config.measurement_seed = cli.value_size("seed");
     const core::AnalysisResult analysis =
         core::analyze_chain(executor, chain, assignments, config);
     const auto candidates = core::build_candidate_profiles(
@@ -64,17 +64,17 @@ int main(int argc, char** argv) {
     const core::EnergyBudgetSwitcher switcher(executor, energy, chain);
     core::SwitchPolicyConfig policy;
     policy.device_energy_budget_j = cli.value_double("budget-j");
-    policy.window_runs = static_cast<std::size_t>(cli.value_int("window"));
-    policy.cooldown_runs = static_cast<std::size_t>(cli.value_int("cooldown"));
+    policy.window_runs = cli.value_size("window");
+    policy.cooldown_runs = cli.value_size("cooldown");
 
-    stats::Rng rng(static_cast<std::uint64_t>(cli.value_int("seed")) + 1);
+    stats::Rng rng(cli.value_size("seed") + 1);
     const core::SwitchTrace trace = switcher.simulate(
         workloads::DeviceAssignment(primary.name.substr(3)),
         workloads::DeviceAssignment(alternate.name.substr(3)),
-        static_cast<std::size_t>(cli.value_int("runs")), policy, rng);
+        cli.value_size("runs"), policy, rng);
 
     std::printf("\nduty cycle: %zu runs, %zu switch(es)\n",
-                static_cast<std::size_t>(cli.value_int("runs")), trace.switches);
+                cli.value_size("runs"), trace.switches);
     for (const auto& seg : trace.segments) {
         std::printf("  %-8s %4zu runs  %8s  %7.3f J on device\n",
                     seg.alg_name.c_str(), seg.runs,

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
     if (!cli.parse(argc, argv)) return 0;
 
     // A multi-scale chain: stage sizes cycle through a ramp of scales.
-    const auto k = static_cast<std::size_t>(cli.value_int("stages"));
+    const auto k = cli.value_size("stages");
     std::vector<std::size_t> sizes;
     const std::size_t ramp[] = {32, 64, 96, 160, 240, 320};
     for (std::size_t i = 0; i < k; ++i) sizes.push_back(ramp[i % 6]);
@@ -40,10 +40,10 @@ int main(int argc, char** argv) {
     search::SearchConfig config;
     config.initial_samples = 2 * k;
     config.refinement_rounds =
-        static_cast<std::size_t>(cli.value_int("budget-rounds"));
+        cli.value_size("budget-rounds");
     config.batch_size = k;
     config.measurements_per_alg = 12;
-    config.seed = static_cast<std::uint64_t>(cli.value_int("seed"));
+    config.seed = cli.value_size("seed");
 
     const search::ModelGuidedSearch searcher(executor, chain, config);
     const search::SearchResult result = searcher.run();

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
     const std::vector<std::size_t> sizes =
         str::parse_size_list(cli.value("sizes"), "--sizes");
     const workloads::TaskChain chain = workloads::make_rls_chain(
-        sizes, static_cast<std::size_t>(cli.value_int("iters")), "measured-chain");
+        sizes, cli.value_size("iters"), "measured-chain");
 
     // Device = 1 thread. Accelerator = all threads, but each kernel launch
     // pays an artificial dispatch delay (emulating framework/offload
@@ -41,15 +41,15 @@ int main(int argc, char** argv) {
         0, cli.value_double("dispatch-us") * 1e-6, 1e-4};
     const sim::RealExecutor executor(device, accelerator);
 
-    std::printf("measuring %zu splits of '%s' x %d runs each (real wall clock)"
-                "...\n\n",
+    std::printf("measuring %zu splits of '%s' x %zu runs each (real wall "
+                "clock)...\n\n",
                 (std::size_t{1} << chain.size()), chain.name.c_str(),
-                cli.value_int("n"));
+                cli.value_size("n"));
 
-    stats::Rng rng(static_cast<std::uint64_t>(cli.value_int("seed")));
+    stats::Rng rng(cli.value_size("seed"));
     core::MeasurementSet measurements = core::measure_assignments_real(
         executor, chain, workloads::enumerate_assignments(chain.size()),
-        static_cast<std::size_t>(cli.value_int("n")), rng, /*warmup=*/2);
+        cli.value_size("n"), rng, /*warmup=*/2);
 
     std::fputs(core::render_summary_table(measurements).c_str(), stdout);
     std::puts("\nDistributions (shared axis):");

@@ -9,8 +9,7 @@
 namespace relperf::cache {
 
 CachedRunResult run_campaign_cached(const campaign::CampaignSpec& spec,
-                                    ResultCache& cache,
-                                    std::size_t shard_count) {
+                                    ResultCache& cache) {
     spec.validate();
     CacheLookup lookup;
     if (cache.config().enabled()) lookup = cache.lookup(spec);
@@ -26,8 +25,6 @@ CachedRunResult run_campaign_cached(const campaign::CampaignSpec& spec,
         out.samples_from_cache = out.analysis.total_samples;
         obs::metrics().cache_extension_samples_saved_total.inc(
             out.samples_from_cache);
-        out.stopset_rounds = std::move(lookup.manifest.stopset_rounds);
-        out.rounds = out.stopset_rounds.size();
         return out;
     }
 
@@ -38,15 +35,11 @@ CachedRunResult run_campaign_cached(const campaign::CampaignSpec& spec,
     // run, and only draws beyond the prefix reach the executor.
     campaign::GlobalSampleSource bundle(spec);
     CachedSampleSource replay(bundle.source(), lookup.merged);
-    campaign::CoordinatedCampaignResult run =
-        campaign::measure_campaign(spec, shard_count, replay);
     CachedRunResult out;
-    out.analysis = std::move(run.analysis);
-    out.stopset_rounds = std::move(run.stopset_rounds);
-    out.rounds = run.rounds;
+    out.analysis = campaign::measure_campaign(spec, replay);
     out.cache = lookup.kind;
     out.samples_from_cache = replay.served();
-    cache.store(spec, out.analysis.measurements, out.stopset_rounds);
+    cache.store(spec, out.analysis.measurements);
     return out;
 }
 

@@ -18,16 +18,15 @@
 //!    executor. The result is then stored (a no-op when the cache is
 //!    disabled), creating or upgrading the entry.
 //!
-//! Cacheability: every plan. A one-host run measures the same counts for
-//! every shard count K, and the plan hash excludes K, so an entry stored at
-//! one K serves every other.
+//! Cacheability: every plan. A one-host run measures the plan whole and
+//! takes no shard count, and the plan hash excludes the spec's `shards`, so
+//! one entry serves every value of it.
 
 #include "cache/result_cache.hpp"
 #include "campaign/spec.hpp"
 #include "core/pipeline.hpp"
 
 #include <cstddef>
-#include <vector>
 
 namespace relperf::cache {
 
@@ -38,17 +37,11 @@ struct CachedRunResult {
     /// Samples served from the cache instead of the executor (all of them on
     /// an exact hit, the reused prefix on an extension, 0 on a miss).
     std::size_t samples_from_cache = 0;
-    /// Coordinated campaigns: the stop-set broadcast history (from the
-    /// coordinator on a live run, from the entry manifest on an exact hit).
-    std::vector<std::size_t> stopset_rounds;
-    std::size_t rounds = 0; ///< Coordinator rounds (coordinated plans only).
 };
 
 /// campaign::run_campaign with the cache consulted first. A disabled cache
 /// (empty dir) measures exactly as a miss does, without storing.
-/// shard_count = 0 uses spec.shards.
 [[nodiscard]] CachedRunResult run_campaign_cached(
-    const campaign::CampaignSpec& spec, ResultCache& cache,
-    std::size_t shard_count = 0);
+    const campaign::CampaignSpec& spec, ResultCache& cache);
 
 } // namespace relperf::cache

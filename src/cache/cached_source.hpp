@@ -7,8 +7,8 @@
 //! algorithm, a byte-exact prefix of what the larger-budget run would draw
 //! (per-assignment RNG streams make samples prefix-extensible). Wrapping the
 //! real executor-backed source with a CachedSampleSource lets the ordinary
-//! measurement path — measure_all, the adaptive engine, the coordinated
-//! campaign — re-run from scratch while the first `cached` samples of every
+//! measurement path — campaign::measure_campaign, fixed-N or adaptive —
+//! re-run from scratch while the first `cached` samples of every
 //! algorithm are served from the entry instead of the executor. The caller's
 //! decisions (adaptive stops, clusterings) see identical values in identical
 //! order, so the final MeasurementSet is bit-identical to a cold full run;

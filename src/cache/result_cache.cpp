@@ -2,6 +2,7 @@
 
 #include "campaign/merge.hpp"
 #include "campaign/runner.hpp"
+#include "campaign/shard_io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
@@ -202,7 +203,6 @@ bool ResultCache::load_entry(const campaign::CampaignSpec& spec,
         // plan agreement, per-algorithm count reachability, completeness.
         // A tampered or truncated payload dies here and becomes a miss.
         out.merged = campaign::merge_shards(spec, {entry});
-        out.manifest = std::move(entry.manifest);
         return true;
     } catch (const std::exception& e) {
         warn("ignoring entry " + hash_name(plan_hash) + ": " + e.what());
@@ -272,8 +272,7 @@ CacheLookup ResultCache::lookup(const campaign::CampaignSpec& spec) {
 }
 
 void ResultCache::store(const campaign::CampaignSpec& spec,
-                        const core::MeasurementSet& merged,
-                        const std::vector<std::size_t>& stopset_rounds) {
+                        const core::MeasurementSet& merged) {
     if (!config_.enabled()) return;
     try {
         spec.validate();
@@ -284,7 +283,6 @@ void ResultCache::store(const campaign::CampaignSpec& spec,
         const std::uint64_t plan = spec.hash();
         campaign::ShardResult entry;
         entry.manifest = campaign::plan_manifest(spec, 0, 1, merged);
-        entry.manifest.stopset_rounds = stopset_rounds;
         entry.measurements = merged;
 
         // Publish payload first, sidecar second: a reader that sees the

@@ -35,7 +35,6 @@
 //! the cache never turns a serviceable campaign into an error.
 
 #include "campaign/spec.hpp"
-#include "campaign/shard_io.hpp"
 #include "core/measurement.hpp"
 
 #include <cstddef>
@@ -66,12 +65,10 @@ enum class HitKind {
 
 /// A validated lookup result. For Exact and Prefix hits `merged` holds the
 /// entry's measurements re-validated and re-stitched into global enumeration
-/// order by campaign::merge_shards, and `manifest` the entry's provenance
-/// (adaptive plan, stop-set history, per-algorithm counts).
+/// order by campaign::merge_shards.
 struct CacheLookup {
     HitKind kind = HitKind::Miss;
     core::MeasurementSet merged;
-    campaign::ShardManifest manifest;
     std::size_t cached_budget = 0; ///< Entry's measurements budget (hits only).
 };
 
@@ -103,8 +100,7 @@ public:
     /// warn on stderr and leave the cache unchanged — the campaign result
     /// is already in hand, so a store can never fail the run.
     void store(const campaign::CampaignSpec& spec,
-               const core::MeasurementSet& merged,
-               const std::vector<std::size_t>& stopset_rounds = {});
+               const core::MeasurementSet& merged);
 
     /// Scans the directory (sorted) and reports entry count and bytes.
     [[nodiscard]] CacheStats stats() const;

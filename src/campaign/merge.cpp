@@ -69,15 +69,6 @@ core::MeasurementSet merge_shards(const CampaignSpec& spec,
                          spec.adaptive_stability)
                     .c_str()));
         }
-        if (m.adaptive_coordinated != spec.adaptive_coordinated) {
-            throw Error(str::format(
-                "merge_shards: shard %zu was measured under %s stopping, "
-                "this spec demands %s — a different plan, refusing to "
-                "merge",
-                m.shard_index,
-                m.adaptive_coordinated ? "coordinated" : "shard-local",
-                spec.adaptive_coordinated ? "coordinated" : "shard-local"));
-        }
         if (m.adaptive_confidence != spec.adaptive_confidence) {
             const auto describe = [](double q) {
                 return q == 0.0 ? std::string("the stability rule")
@@ -88,17 +79,6 @@ core::MeasurementSet merge_shards(const CampaignSpec& spec,
                 "— the per-algorithm sample counts differ, refusing to merge",
                 m.shard_index, describe(m.adaptive_confidence).c_str(),
                 describe(spec.adaptive_confidence).c_str()));
-        }
-        // Every shard of a coordinated run received the same broadcast
-        // history; a disagreement means the files come from different
-        // coordinator runs even if the plan hashes match.
-        if (spec.adaptive_coordinated &&
-            m.stopset_rounds != shards.front().manifest.stopset_rounds) {
-            throw Error(str::format(
-                "merge_shards: shard %zu records a different coordinator "
-                "stop-set history than shard %zu — the files come from "
-                "different coordinated runs, refusing to merge",
-                m.shard_index, shards.front().manifest.shard_index));
         }
         if (m.spec_hash != expected_hash) {
             throw Error(str::format(
@@ -208,10 +188,9 @@ core::MeasurementSet merge_shards(const CampaignSpec& spec,
     return merged;
 }
 
-core::AnalysisResult run_campaign(const CampaignSpec& spec,
-                                  std::size_t shard_count) {
+core::AnalysisResult run_campaign(const CampaignSpec& spec) {
     GlobalSampleSource bundle(spec);
-    return measure_campaign(spec, shard_count, bundle.source()).analysis;
+    return measure_campaign(spec, bundle.source());
 }
 
 } // namespace relperf::campaign

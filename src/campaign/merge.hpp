@@ -14,7 +14,6 @@
 #include "campaign/spec.hpp"
 #include "core/pipeline.hpp"
 
-#include <cstddef>
 #include <vector>
 
 namespace relperf::campaign {
@@ -30,10 +29,6 @@ namespace relperf::campaign {
 
 /// Single-host campaign: the whole plan measured once through
 /// measure_campaign over the full variant list, fixed-N and adaptive alike.
-/// Every adaptive stop decision watches the clustering of all algorithms,
-/// so the result is the same for every K; shard_count (0 = spec.shards)
-/// only validates the split.
-[[nodiscard]] core::AnalysisResult run_campaign(const CampaignSpec& spec,
-                                                std::size_t shard_count = 0);
+[[nodiscard]] core::AnalysisResult run_campaign(const CampaignSpec& spec);
 
 } // namespace relperf::campaign

@@ -14,15 +14,6 @@
 
 namespace relperf::campaign {
 
-namespace {
-
-std::size_t effective_shard_count(const CampaignSpec& spec,
-                                  std::size_t shard_count) {
-    return shard_count == 0 ? spec.shards : shard_count;
-}
-
-} // namespace
-
 ShardResult run_shard(const CampaignSpec& spec, std::size_t shard_index,
                       std::size_t shard_count) {
     spec.validate();
@@ -33,7 +24,7 @@ ShardResult run_shard(const CampaignSpec& spec, std::size_t shard_index,
                     "watch the clustering of all algorithms, which no single "
                     "shard sees — measure the whole plan on one host with "
                     "--run (run_campaign) instead of per-shard execution");
-    const std::size_t count = effective_shard_count(spec, shard_count);
+    const std::size_t count = shard_count == 0 ? spec.shards : shard_count;
     const Sharder sharder(spec.variants().size(), count);
 
     obs::Span span("shard.run", "campaign");
@@ -69,7 +60,6 @@ ShardManifest plan_manifest(const CampaignSpec& spec, std::size_t shard_index,
         m.adaptive_min = spec.adaptive_min;
         m.adaptive_batch = spec.adaptive_batch;
         m.adaptive_stability = spec.adaptive_stability;
-        m.adaptive_coordinated = spec.adaptive_coordinated;
         // Counts stopped by the confidence rule are not counts the
         // stability rule produced, so the rule is part of the record.
         m.adaptive_confidence = spec.adaptive_confidence;
@@ -150,62 +140,26 @@ core::SampleSource& GlobalSampleSource::source() {
     return *impl_->real_source;
 }
 
-CoordinatedCampaignResult measure_campaign(const CampaignSpec& spec,
-                                           std::size_t shard_count,
-                                           core::SampleSource& source) {
+core::AnalysisResult measure_campaign(const CampaignSpec& spec,
+                                      core::SampleSource& source) {
     spec.validate();
-    const std::size_t count = effective_shard_count(spec, shard_count);
-    const Sharder sharder(spec.variants().size(), count);
-    RELPERF_REQUIRE(source.count() == sharder.assignment_count(),
+    RELPERF_REQUIRE(source.count() == spec.variants().size(),
                     "measure_campaign: the sample source must enumerate the "
                     "spec's full global variant list");
-
-    // Every variant draws from the stream of its global index, so the one
-    // engine over the full list is value-identical to any split. For a
-    // coordinated plan the engine's per-round clustering IS the merged
-    // clustering and its frozen set IS the global stop-set: the observer
-    // is where the broadcast becomes observable.
-    CoordinatedCampaignResult out;
-    core::RoundObserver observer;
-    if (spec.adaptive_coordinated) {
-        observer = [&out, count](const core::EngineRound& r) {
-            obs::Span round("campaign.coordinate", "campaign");
-            round.arg("round", static_cast<std::uint64_t>(r.round))
-                .arg("shards", static_cast<std::uint64_t>(count))
-                .arg("newly_stopped",
-                     static_cast<std::uint64_t>(r.newly_stopped))
-                .arg("stopset", static_cast<std::uint64_t>(r.stopped_total))
-                .arg("active", static_cast<std::uint64_t>(r.active));
-            obs::metrics().coordination_rounds.inc();
-            // The global stop-set goes out to every shard each round.
-            obs::metrics().stopset_broadcast_total.inc(count);
-            out.stopset_rounds.push_back(r.stopped_total);
-        };
-    }
-    out.analysis =
-        core::analyze_source(source, spec.analysis_config(), observer);
-    out.rounds = out.stopset_rounds.size();
-    return out;
-}
-
-CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
-                                                   std::size_t shard_count) {
-    GlobalSampleSource bundle(spec);
-    return run_coordinated_campaign(spec, shard_count, bundle.source());
+    return core::analyze_source(source, spec.analysis_config());
 }
 
 CoordinatedCampaignResult run_coordinated_campaign(const CampaignSpec& spec,
                                                    std::size_t shard_count,
                                                    core::SampleSource& source) {
     RELPERF_REQUIRE(spec.adaptive(),
-                    "run_coordinated_campaign: spec is fixed-N — coordinated "
-                    "stopping needs an adaptive plan "
-                    "(adaptive_min_measurements)");
-    RELPERF_REQUIRE(spec.adaptive_coordinated,
-                    "run_coordinated_campaign: spec does not declare "
-                    "'adaptive_coordination = coordinated' — the key is part "
-                    "of the measurement plan and must be recorded");
-    return measure_campaign(spec, shard_count, source);
+                    "run_coordinated_campaign: spec is fixed-N — it needs an "
+                    "adaptive plan (adaptive_min_measurements)");
+    (void)Sharder(spec.variants().size(), shard_count);
+    CoordinatedCampaignResult out;
+    out.analysis = measure_campaign(spec, source);
+    out.rounds = out.analysis.rounds;
+    return out;
 }
 
 } // namespace relperf::campaign

@@ -3,14 +3,14 @@
 //! Campaign execution on this host. Every variant draws from the RNG stream
 //! derived from the campaign's measurement seed and its *global* index
 //! (core::assignment_stream_seed), so splitting a plan into K shards changes
-//! no measured value. A whole campaign is therefore measured once:
-//! measure_campaign runs one core::analyze_source call over the full
-//! variant list, with the coordinator's round observer attached when the
-//! plan is coordinated. run_campaign, run_coordinated_campaign and the
-//! result cache all go through it. run_shard measures the assignments one
-//! shard of a fixed-N plan owns (the `--shard i/K` step of a multi-host
-//! campaign); it refuses adaptive plans, whose stop decisions watch the
-//! clustering of all algorithms and so need the whole plan on one host.
+//! no measured value. A one-host run therefore measures the plan whole and
+//! takes no shard count: measure_campaign runs one core::analyze_source
+//! call over the full variant list, and run_campaign,
+//! run_coordinated_campaign and the result cache all go through it.
+//! run_shard measures the assignments one shard of a fixed-N plan owns (the
+//! `--shard i/K` step of a multi-host campaign, where K means something);
+//! it refuses adaptive plans, whose stop decisions watch the clustering of
+//! all algorithms and so need the whole plan on one host.
 
 #include "campaign/shard_io.hpp"
 #include "campaign/sharder.hpp"
@@ -20,7 +20,6 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
-#include <vector>
 
 namespace relperf::campaign {
 
@@ -45,44 +44,27 @@ namespace relperf::campaign {
                                           std::size_t shard_count,
                                           const core::MeasurementSet& measured);
 
-/// Outcome of a single-engine campaign: the analysis plus, for coordinated
-/// plans, the coordinator's broadcast history (empty otherwise).
+/// An adaptive campaign's analysis plus the engine's round count.
 struct CoordinatedCampaignResult {
     /// Measurements in global enumeration order, the engine's clustering,
     /// fixed_n_samples set to the plan's true cap.
     core::AnalysisResult analysis;
-    /// Cumulative global stop-set size after each coordinator round.
-    std::vector<std::size_t> stopset_rounds;
-    std::size_t rounds = 0; ///< Coordinator rounds (clusterings consulted).
+    std::size_t rounds = 0; ///< Engine rounds (clusterings consulted).
 };
 
 /// The one-host measurement of a plan: one core::analyze_source call over
 /// `source`, which must enumerate the spec's full global variant list on
 /// the per-assignment streams of core::assignment_stream_seed
 /// (GlobalSampleSource, or a decorator over it such as the result cache's
-/// replaying source). For a coordinated plan the
-/// coordinator's observer records each round: one coordination round and K
-/// stop-set broadcasts per clustering. Because the stop-set is global, the
-/// counts are K-invariant, and K only validates the split. shard_count = 0
-/// uses spec.shards.
-[[nodiscard]] CoordinatedCampaignResult measure_campaign(
-    const CampaignSpec& spec, std::size_t shard_count,
-    core::SampleSource& source);
+/// replaying source). fixed_n_samples is the plan's true cap, and an
+/// adaptive plan's result carries the engine's round count.
+[[nodiscard]] core::AnalysisResult measure_campaign(const CampaignSpec& spec,
+                                                    core::SampleSource& source);
 
-/// Runs an adaptive campaign with the coordinator's bookkeeping: each
-/// round's stop decisions watch the clustering of *all* algorithms, the
-/// same statistic the final analysis reports, so per-algorithm sample
-/// counts are K-invariant and bit-identical to the uncoordinated engine's;
-/// the result adds the per-round stop-set history. Requires an adaptive
-/// spec with adaptive_coordinated set (the key is part of the plan, so the
-/// plan hash must record it; relperf_cli --coordinated sets it on the
-/// loaded spec), then measures through measure_campaign. shard_count = 0
-/// uses spec.shards.
-[[nodiscard]] CoordinatedCampaignResult run_coordinated_campaign(
-    const CampaignSpec& spec, std::size_t shard_count = 0);
-
-/// As above, but drawing from `source` (see measure_campaign) instead of
-/// building the spec's executor-backed source internally.
+/// Measures an adaptive spec through measure_campaign over `source` and
+/// reports the engine's round count alongside. `shard_count` must be a
+/// valid split of the plan (1 <= K <= algorithms); it changes no measured
+/// value. Throws InvalidArgument on a fixed-N spec.
 [[nodiscard]] CoordinatedCampaignResult run_coordinated_campaign(
     const CampaignSpec& spec, std::size_t shard_count,
     core::SampleSource& source);

@@ -95,22 +95,9 @@ void write_shard_csv(const ShardResult& shard, const std::string& path) {
         out << "# adaptive_min_measurements = " << m.adaptive_min << '\n';
         out << "# adaptive_batch = " << m.adaptive_batch << '\n';
         out << "# adaptive_stability_rounds = " << m.adaptive_stability << '\n';
-        // Coordination lines only when the coordinator drove the plan:
-        // shard-local adaptive files keep the exact pre-coordination form.
-        if (m.adaptive_coordinated) {
-            out << "# adaptive_coordination = coordinated\n";
-        }
         if (m.adaptive_confidence != 0.0) {
             out << "# adaptive_confidence = "
                 << str::format("%.12g", m.adaptive_confidence) << '\n';
-        }
-        if (!m.stopset_rounds.empty()) {
-            std::vector<std::string> rounds;
-            rounds.reserve(m.stopset_rounds.size());
-            for (const std::size_t n : m.stopset_rounds) {
-                rounds.push_back(std::to_string(n));
-            }
-            out << "# stopset_rounds = " << str::join(rounds, ",") << '\n';
         }
         // The declared counts (validated above) when the caller set them,
         // else derived from the rows — one source of truth either way.
@@ -197,23 +184,9 @@ ShardResult read_shard_csv(const std::string& path) {
             } else if (key == "adaptive_stability_rounds") {
                 out.manifest.adaptive_stability =
                     str::parse_positive_size(value, key);
-            } else if (key == "adaptive_coordination") {
-                if (value == "coordinated") {
-                    out.manifest.adaptive_coordinated = true;
-                } else if (value == "shard-local") {
-                    out.manifest.adaptive_coordinated = false;
-                } else {
-                    fail("adaptive_coordination must be 'coordinated' or "
-                         "'shard-local', got '" +
-                         value + "'");
-                }
             } else if (key == "adaptive_confidence") {
                 out.manifest.adaptive_confidence =
                     str::parse_double(value, key);
-            } else if (key == "stopset_rounds") {
-                // Cumulative counts may legitimately start at 0 (a first
-                // round that froze nobody), so plain parse_size_list.
-                out.manifest.stopset_rounds = str::parse_size_list(value, key);
             } else if (key == "samples_per_algorithm") {
                 out.manifest.samples_per_algorithm =
                     str::parse_size_list(value, key);
@@ -227,7 +200,8 @@ ShardResult read_shard_csv(const std::string& path) {
                 }
             }
             // Unknown keys are ignored: forward compatibility for future
-            // manifest fields.
+            // manifest fields, and backward compatibility for retired ones
+            // (the two coordination lines of older adaptive files).
         } catch (const Error& e) {
             fail(e.what());
         }

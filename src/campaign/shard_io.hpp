@@ -49,19 +49,9 @@ struct ShardManifest {
     std::size_t adaptive_min = 0;       ///< `# adaptive_min_measurements`.
     std::size_t adaptive_batch = 0;     ///< `# adaptive_batch`.
     std::size_t adaptive_stability = 0; ///< `# adaptive_stability_rounds`.
-    /// Coordinated stop-set plan of the shard (`# adaptive_coordination =
-    /// coordinated`); absent for shard-local files (including every file
-    /// from before coordination). Checked against the spec by merge_shards.
-    bool adaptive_coordinated = false;
     /// Confidence-targeted stopping rule level (`# adaptive_confidence`);
     /// 0 = the membership-stability rule. Checked like `backend`.
     double adaptive_confidence = 0.0;
-    /// Cumulative global stop-set size after each coordinator round
-    /// (`# stopset_rounds = 0,5,8`). Written only for coordinated runs (the
-    /// result cache's entry); the coordinator hands every shard the same
-    /// broadcast history, so merge_shards requires the lists to be
-    /// identical across files.
-    std::vector<std::size_t> stopset_rounds;
     /// Per-algorithm sample counts in CSV order (`# samples_per_algorithm =
     /// 10,15,30`). Written only by adaptive shards — fixed-N counts are
     /// implied by the plan — and cross-checked against the CSV rows on read,

@@ -89,8 +89,9 @@ void CampaignSpec::validate() const {
                             "(0.5, 1)");
         }
     } else {
-        // Coordination and confidence describe how adaptive rounds stop;
-        // without adaptive_min_measurements they would be silently inert.
+        // The coordination label and the confidence level belong to adaptive
+        // plans; without adaptive_min_measurements they would be silently
+        // inert.
         RELPERF_REQUIRE(!adaptive_coordinated,
                         "campaign: adaptive_coordination requires "
                         "adaptive_min_measurements");
@@ -382,10 +383,11 @@ std::uint64_t CampaignSpec::hash() const {
              << ";tie_epsilon=" << str::format("%.12g", tie_epsilon)
              << ";decision_threshold="
              << str::format("%.12g", decision_threshold);
-        // Coordination changes which clustering the stop decisions watch and
-        // confidence changes the stopping rule — both are measurement-
-        // determining. Emitted only when set so pre-coordination adaptive
-        // specs keep their plan hashes.
+        // Confidence changes the stopping rule, so it is measurement-
+        // determining. The coordination label changes no measured value; it
+        // stays in the hash so existing coordinated plans keep theirs. Both
+        // are emitted only when set, so earlier adaptive specs keep their
+        // plan hashes.
         if (adaptive_coordinated) plan << ";adaptive_coordination=coordinated";
         if (adaptive_confidence != 0.0) {
             plan << ";adaptive_confidence="

@@ -67,9 +67,9 @@ struct CampaignSpec {
     // watch the clustering of *all* algorithms, so an adaptive plan is
     // measured on one host by one engine (`--run`) and its counts never
     // depend on the shard count; only fixed-N plans are split across hosts.
-    // `adaptive_coordination = coordinated` additionally records the
-    // coordinator's per-round stop-set broadcast for a K-shard split (the
-    // default "shard-local" records none). `adaptive_confidence`
+    // `adaptive_coordination = coordinated` is only a label: it changes no
+    // measured value, but it stays in the spec text and hash() so existing
+    // coordinated specs keep their plan hashes. `adaptive_confidence`
     // (in (0.5, 1)) swaps the membership-stability stopping rule for the
     // confidence-targeted one (core/stopping_rule.hpp). The adaptive keys
     // enter the spec text and hash() only when adaptive is on — and the two
@@ -81,8 +81,8 @@ struct CampaignSpec {
     std::size_t adaptive_min = 0;       ///< Min N (0 = adaptive off).
     std::size_t adaptive_batch = 5;     ///< Samples added per round.
     std::size_t adaptive_stability = 2; ///< Stable clusterings before stop.
-    /// Coordinator bookkeeping (key value "coordinated"; the default
-    /// "shard-local" is never emitted). Part of the plan hash.
+    /// The coordination label (key value "coordinated"; the default
+    /// "shard-local" is never emitted). Inert, but part of the plan hash.
     bool adaptive_coordinated = false;
     /// Confidence level of the confidence-targeted stopping rule; 0 (the
     /// default, never emitted) keeps the membership-stability rule.
@@ -95,8 +95,10 @@ struct CampaignSpec {
     double switch_delay_us = 100.0;   ///< Delay when entering the Accelerator.
     std::size_t warmup = 1;           ///< Unrecorded runs per algorithm.
 
-    // Default shard count (K). `relperf_cli --shard i/K` may override K; the
-    // measurement plan — and therefore hash() — does not depend on it.
+    // Default shard count (K) of a multi-host fixed-N split (run_shard with
+    // K = 0). `relperf_cli --shard i/K` names K itself, and a one-host run
+    // ignores it; the measurement plan — and therefore hash() — does not
+    // depend on it.
     std::size_t shards = 1;
 
     // Analysis knobs (paper Rep / R / epsilon / theta).

@@ -144,8 +144,7 @@ MeasurementEngine::MeasurementEngine(AdaptiveConfig adaptive,
     clustering_.validate();
 }
 
-EngineResult MeasurementEngine::run(SampleSource& source,
-                                    const RoundObserver& on_round) const {
+EngineResult MeasurementEngine::run(SampleSource& source) const {
     const std::size_t count = source.count();
     obs::Span span("engine.run", "engine");
     span.arg("algorithms", static_cast<std::uint64_t>(count))
@@ -176,7 +175,6 @@ EngineResult MeasurementEngine::run(SampleSource& source,
     const std::unique_ptr<StoppingRule> rule = make_stopping_rule(
         adaptive_.rule, adaptive_.stability_rounds, adaptive_.confidence);
     std::vector<bool> stopped(count, false);
-    std::size_t stopped_total = 0;
     while (true) {
         obs::Span round_span("engine.round", "engine");
         obs::metrics().adaptive_rounds.inc();
@@ -187,25 +185,18 @@ EngineResult MeasurementEngine::run(SampleSource& source,
         rule->observe(clustering, stopped);
 
         std::vector<std::size_t> extend;
-        std::size_t newly_stopped = 0;
         for (std::size_t i = 0; i < count; ++i) {
             if (stopped[i]) continue;
             if (out.samples_per_alg[i] >= adaptive_.max_n ||
                 rule->should_stop(i)) {
                 stopped[i] = true;
-                ++newly_stopped;
                 continue;
             }
             extend.push_back(i);
         }
-        stopped_total += newly_stopped;
         round_span.arg("round", static_cast<std::uint64_t>(out.rounds))
             .arg("extending", static_cast<std::uint64_t>(extend.size()))
             .arg("stopped", static_cast<std::uint64_t>(count - extend.size()));
-        if (on_round) {
-            on_round(EngineRound{out.rounds, newly_stopped, stopped_total,
-                                 extend.size()});
-        }
         if (extend.empty()) {
             // Nothing changed since this round's clustering, so it is
             // exactly what analyze_measurements computes on the final set.
@@ -220,6 +211,11 @@ EngineResult MeasurementEngine::run(SampleSource& source,
             out.samples_per_alg[i] += fresh.size();
         }
         ++out.rounds;
+    }
+    // max_rounds only bounds the meter: a run that stops early closes it on
+    // the round it ended with, so the last tick always reads done == total.
+    if (out.rounds < max_rounds) {
+        obs::report_progress("engine.round", out.rounds, out.rounds);
     }
 
     out.total_samples = std::accumulate(out.samples_per_alg.begin(),

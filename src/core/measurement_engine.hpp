@@ -195,20 +195,6 @@ struct EngineResult {
     }
 };
 
-/// Per-round progress snapshot handed to a RoundObserver after the round's
-/// stop decisions and before the next extension draw.
-struct EngineRound {
-    std::size_t round = 0;         ///< 1-based round number.
-    std::size_t newly_stopped = 0; ///< Algorithms frozen by this round.
-    std::size_t stopped_total = 0; ///< Cumulative frozen count.
-    std::size_t active = 0;        ///< Algorithms still extending.
-};
-
-/// Between-round callback — how the campaign coordinator broadcasts the
-/// global stop-set (spans, counters, per-round manifests) without owning the
-/// engine loop. Fires once per round, including the final one.
-using RoundObserver = std::function<void(const EngineRound&)>;
-
 /// "measured X of Y fixed-N samples, saved Z (P%)" — the human-readable
 /// savings line the CLI and the benches print (and the smoke tests grep);
 /// one formatter so the wording cannot drift between surfaces.
@@ -224,8 +210,7 @@ public:
                       BootstrapComparatorConfig comparator = {},
                       ClustererConfig clustering = {});
 
-    [[nodiscard]] EngineResult run(SampleSource& source,
-                                   const RoundObserver& on_round = {}) const;
+    [[nodiscard]] EngineResult run(SampleSource& source) const;
 
     [[nodiscard]] const AdaptiveConfig& config() const noexcept {
         return adaptive_;

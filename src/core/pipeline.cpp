@@ -54,8 +54,7 @@ MeasurementSet measure_assignments_real(
 }
 
 AnalysisResult analyze_source(SampleSource& source,
-                              const AnalysisConfig& config,
-                              const RoundObserver& on_round) {
+                              const AnalysisConfig& config) {
     if (!config.adaptive) {
         obs::metrics().samples_fixed_n_total.inc(
             source.count() * config.measurements_per_alg);
@@ -64,13 +63,14 @@ AnalysisResult analyze_source(SampleSource& source,
     }
     const MeasurementEngine engine(*config.adaptive, config.comparator,
                                    config.clustering);
-    EngineResult measured = engine.run(source, on_round);
+    EngineResult measured = engine.run(source);
     AnalysisResult out;
     out.measurements = std::move(measured.measurements);
     out.clustering = std::move(measured.clustering);
     out.samples_per_alg = std::move(measured.samples_per_alg);
     out.total_samples = measured.total_samples;
     out.fixed_n_samples = measured.fixed_n_samples;
+    out.rounds = measured.rounds;
     return out;
 }
 

@@ -9,8 +9,7 @@
 //! SampleSource under an AnalysisConfig and decides, in that one place,
 //! between fixed N (measure_all, then one clustering) and the adaptive
 //! MeasurementEngine (AnalysisConfig::adaptive). analyze_chain and every
-//! one-host campaign that measures once (campaign::measure_campaign: plain,
-//! coordinated, cached) call it. measure_assignments and
+//! one-host campaign (campaign::measure_campaign, cold or cached) call it. measure_assignments and
 //! measure_assignments_real measure a fixed N over measure_all without
 //! clustering; their output is bit-identical to the pre-engine batch loops.
 
@@ -86,17 +85,19 @@ struct AnalysisResult {
     /// set and defaults this to total_samples (zero savings); analyze_chain
     /// and campaign::run_campaign fill in the true plan cost.
     std::size_t fixed_n_samples = 0;
+    /// Engine rounds (clusterings consulted) of an adaptive run; 0 when the
+    /// set was measured fixed-N or came from elsewhere.
+    std::size_t rounds = 0;
 };
 
 /// The one measure-then-cluster path: measures every algorithm of `source`
 /// under `config` and clusters the result. With config.adaptive set the
-/// MeasurementEngine runs its rounds (reporting each to `on_round`) and its
-/// published clustering is taken as is; otherwise every algorithm gets
-/// config.measurements_per_alg samples and is clustered once (`on_round` is
-/// never called). fixed_n_samples is the plan's true cap either way.
+/// MeasurementEngine runs its rounds and its published clustering and round
+/// count are taken as is; otherwise every algorithm gets
+/// config.measurements_per_alg samples and is clustered once.
+/// fixed_n_samples is the plan's true cap either way.
 [[nodiscard]] AnalysisResult analyze_source(SampleSource& source,
-                                            const AnalysisConfig& config,
-                                            const RoundObserver& on_round = {});
+                                            const AnalysisConfig& config);
 
 /// One-call pipeline over a simulated platform: analyze_source over the
 /// assignments' executor-backed source.

@@ -222,14 +222,6 @@ const Metrics& metrics() {
                            "Campaign shards measured in this process."),
         registry().counter("relperf_shard_merges_total",
                            "merge_shards invocations."),
-        registry().counter(
-            "relperf_coordination_rounds",
-            "Coordinator rounds of coordinated adaptive campaigns (one "
-            "merged re-clustering per round)."),
-        registry().counter(
-            "relperf_stopset_broadcast_total",
-            "Global stop-set broadcasts to shards (shard count per "
-            "coordination round)."),
         registry().counter("relperf_cache_hits_total",
                            "Result-cache exact hits (plan hash matched)."),
         registry().counter("relperf_cache_misses_total",

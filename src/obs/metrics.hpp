@@ -141,8 +141,6 @@ struct Metrics {
     Counter& executions_total;       ///< executor run_once invocations
     Counter& shards_total;           ///< campaign shards measured
     Counter& shard_merges_total;     ///< merge_shards calls
-    Counter& coordination_rounds;    ///< coordinator round-loop iterations
-    Counter& stopset_broadcast_total; ///< per-shard stop-set broadcasts
     Counter& cache_hits_total;       ///< result-cache exact hits
     Counter& cache_misses_total;     ///< result-cache misses
     Counter& cache_extensions_total; ///< result-cache prefix extensions

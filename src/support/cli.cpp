@@ -92,6 +92,10 @@ int CliParser::value_int(const std::string& name) const {
     return static_cast<int>(parsed);
 }
 
+std::size_t CliParser::value_size(const std::string& name) const {
+    return str::parse_size(value(name), "--" + name);
+}
+
 double CliParser::value_double(const std::string& name) const {
     const std::string v = value(name);
     char* end = nullptr;

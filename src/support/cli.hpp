@@ -6,6 +6,7 @@
 //! so typos in experiment scripts fail loudly instead of silently running the
 //! default configuration.
 
+#include <cstddef>
 #include <iosfwd>
 #include <map>
 #include <optional>
@@ -36,6 +37,10 @@ public:
     [[nodiscard]] bool flag(const std::string& name) const;
     [[nodiscard]] std::string value(const std::string& name) const;
     [[nodiscard]] int value_int(const std::string& name) const;
+    /// A count or seed: the value parsed by str::parse_size, so a negative,
+    /// fractional or out-of-range value throws InvalidArgument naming
+    /// `--name` instead of wrapping to ~2^64 through a cast.
+    [[nodiscard]] std::size_t value_size(const std::string& name) const;
     [[nodiscard]] double value_double(const std::string& name) const;
     /// Empty optional when the option still holds its declared default and the
     /// default was the empty string (used for e.g. optional --csv paths).

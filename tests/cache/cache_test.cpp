@@ -1,12 +1,13 @@
 //! The result cache's contract, end to end:
 //!
-//!  * exact hit — zero executor draws, byte-identical re-clustering, across
-//!    shard counts (the entry is keyed by the plan, not the split);
+//!  * exact hit — zero executor draws, byte-identical re-clustering, whatever
+//!    shard count the spec names (the entry is keyed by the plan);
 //!  * prefix extension — bit-identical to a cold full run (fixed-N,
 //!    single-shard adaptive and coordinated adaptive), only the budget delta
 //!    drawn, and the entry upgraded in place;
 //!  * the CachedSampleSource replay/skip stream algebra;
-//!  * every plan is cacheable across K (adaptive counts never depend on K);
+//!  * every plan is cacheable whatever its spec's K (adaptive counts never
+//!    depend on it);
 //!  * failure modes: truncated payloads, tampered manifests, dropped rows,
 //!    garbage sidecars, unusable directories, leftover temp files — all
 //!    degrade to a miss (and self-repair on the next store), never an error;
@@ -151,7 +152,7 @@ TEST_F(CacheTest, ExactHitDrawsNothingAndReclustersByteIdentically) {
     cache::ResultCache result_cache = make_cache();
 
     const cache::CachedRunResult cold =
-        cache::run_campaign_cached(spec, result_cache, 2);
+        cache::run_campaign_cached(spec, result_cache);
     EXPECT_EQ(cold.cache, cache::HitKind::Miss);
     EXPECT_EQ(cold.samples_from_cache, 0u);
     EXPECT_EQ(result_cache.stats().entries, 1u);
@@ -159,10 +160,12 @@ TEST_F(CacheTest, ExactHitDrawsNothingAndReclustersByteIdentically) {
     obs::set_metrics_enabled(true);
     obs::registry().reset_values();
     const obs::Metrics& m = obs::metrics();
-    // Served across a different shard split: the entry is keyed by the plan
-    // hash, which does not include K.
+    // Served to a spec naming a different shard count: the entry is keyed
+    // by the plan hash, which does not include K.
+    campaign::CampaignSpec resharded = spec;
+    resharded.shards = 3;
     const cache::CachedRunResult warm =
-        cache::run_campaign_cached(spec, result_cache, 3);
+        cache::run_campaign_cached(resharded, result_cache);
     EXPECT_EQ(warm.cache, cache::HitKind::Exact);
     EXPECT_EQ(m.samples_total.value(), 0u) << "an exact hit must not draw";
     EXPECT_EQ(m.executions_total.value(), 0u);
@@ -181,7 +184,7 @@ TEST_F(CacheTest, ExactHitDrawsNothingAndReclustersByteIdentically) {
 TEST_F(CacheTest, FixedNPrefixExtensionIsBitIdenticalToAColdRun) {
     campaign::CampaignSpec spec = small_spec();
     cache::ResultCache result_cache = make_cache();
-    (void)cache::run_campaign_cached(spec, result_cache, 1);
+    (void)cache::run_campaign_cached(spec, result_cache);
 
     campaign::CampaignSpec bigger = spec;
     bigger.measurements = 25;
@@ -189,7 +192,7 @@ TEST_F(CacheTest, FixedNPrefixExtensionIsBitIdenticalToAColdRun) {
     obs::registry().reset_values();
     const obs::Metrics& m = obs::metrics();
     const cache::CachedRunResult extended =
-        cache::run_campaign_cached(bigger, result_cache, 1);
+        cache::run_campaign_cached(bigger, result_cache);
     EXPECT_EQ(extended.cache, cache::HitKind::Prefix);
     EXPECT_EQ(m.cache_extensions_total.value(), 1u);
     // Exactly the cached prefix was served and exactly the delta drawn.
@@ -198,7 +201,7 @@ TEST_F(CacheTest, FixedNPrefixExtensionIsBitIdenticalToAColdRun) {
     EXPECT_EQ(m.samples_total.value(),
               algorithms * (bigger.measurements - spec.measurements));
 
-    const core::AnalysisResult cold = campaign::run_campaign(bigger, 1);
+    const core::AnalysisResult cold = campaign::run_campaign(bigger);
     expect_sets_identical(extended.analysis.measurements, cold.measurements);
     expect_clusterings_identical(extended.analysis.clustering,
                                  cold.clustering);
@@ -218,15 +221,15 @@ TEST_F(CacheTest, AdaptivePrefixExtensionReplaysTheEngineBitIdentically) {
     campaign::CampaignSpec spec = adaptive_spec();
     spec.measurements = 12;
     cache::ResultCache result_cache = make_cache();
-    (void)cache::run_campaign_cached(spec, result_cache, 1);
+    (void)cache::run_campaign_cached(spec, result_cache);
 
     campaign::CampaignSpec bigger = spec;
     bigger.measurements = 20;
     const cache::CachedRunResult extended =
-        cache::run_campaign_cached(bigger, result_cache, 1);
+        cache::run_campaign_cached(bigger, result_cache);
     EXPECT_EQ(extended.cache, cache::HitKind::Prefix);
 
-    const core::AnalysisResult cold = campaign::run_campaign(bigger, 1);
+    const core::AnalysisResult cold = campaign::run_campaign(bigger);
     expect_sets_identical(extended.analysis.measurements, cold.measurements);
     expect_clusterings_identical(extended.analysis.clustering,
                                  cold.clustering);
@@ -234,71 +237,48 @@ TEST_F(CacheTest, AdaptivePrefixExtensionReplaysTheEngineBitIdentically) {
     EXPECT_EQ(extended.analysis.fixed_n_samples, cold.fixed_n_samples);
 }
 
-TEST_F(CacheTest, CoordinatedExactHitRestoresTheStopHistory) {
-    const campaign::CampaignSpec spec = coordinated_spec();
-    cache::ResultCache result_cache = make_cache();
-    const cache::CachedRunResult cold =
-        cache::run_campaign_cached(spec, result_cache, 2);
-    ASSERT_FALSE(cold.stopset_rounds.empty());
-
-    obs::set_metrics_enabled(true);
-    obs::registry().reset_values();
-    const cache::CachedRunResult warm =
-        cache::run_campaign_cached(spec, result_cache, 2);
-    EXPECT_EQ(warm.cache, cache::HitKind::Exact);
-    EXPECT_EQ(obs::metrics().samples_total.value(), 0u);
-    // The broadcast history rides in the entry manifest, so the CLI's
-    // coordinator report is reproducible from the cache alone.
-    EXPECT_EQ(warm.stopset_rounds, cold.stopset_rounds);
-    EXPECT_EQ(warm.rounds, cold.rounds);
-    expect_sets_identical(warm.analysis.measurements,
-                          cold.analysis.measurements);
-    expect_clusterings_identical(warm.analysis.clustering,
-                                 cold.analysis.clustering);
-}
-
 TEST_F(CacheTest, CoordinatedPrefixExtensionMatchesAColdCoordinatedRun) {
     campaign::CampaignSpec spec = coordinated_spec();
     cache::ResultCache result_cache = make_cache();
-    (void)cache::run_campaign_cached(spec, result_cache, 2);
+    (void)cache::run_campaign_cached(spec, result_cache);
 
     campaign::CampaignSpec bigger = spec;
     bigger.measurements = 30;
     const cache::CachedRunResult extended =
-        cache::run_campaign_cached(bigger, result_cache, 2);
+        cache::run_campaign_cached(bigger, result_cache);
     EXPECT_EQ(extended.cache, cache::HitKind::Prefix);
 
-    const campaign::CoordinatedCampaignResult cold =
-        campaign::run_coordinated_campaign(bigger, 2);
-    expect_sets_identical(extended.analysis.measurements,
-                          cold.analysis.measurements);
+    const core::AnalysisResult cold = campaign::run_campaign(bigger);
+    expect_sets_identical(extended.analysis.measurements, cold.measurements);
     expect_clusterings_identical(extended.analysis.clustering,
-                                 cold.analysis.clustering);
-    EXPECT_EQ(extended.stopset_rounds, cold.stopset_rounds);
-    EXPECT_EQ(extended.rounds, cold.rounds);
+                                 cold.clustering);
+    EXPECT_EQ(extended.analysis.rounds, cold.rounds);
 }
 
 TEST_F(CacheTest, ShardLocalAdaptiveAtFourShardsHitsTheSingleShardEntry) {
     // A shard-local adaptive plan stops on the clustering of all algorithms
-    // for every K, so the entry a K = 1 run stores is exactly what a K = 4
-    // run would measure: the plan hash (which excludes K) may serve it.
+    // whatever K its spec names, so the entry a K = 1 spec stores is exactly
+    // what a K = 4 spec would measure: the plan hash (which excludes K) may
+    // serve it.
     const campaign::CampaignSpec spec = adaptive_spec();
     cache::ResultCache result_cache = make_cache();
     const cache::CachedRunResult cold =
-        cache::run_campaign_cached(spec, result_cache, 1);
+        cache::run_campaign_cached(spec, result_cache);
     EXPECT_EQ(cold.cache, cache::HitKind::Miss);
     EXPECT_EQ(result_cache.stats().entries, 1u);
 
     obs::set_metrics_enabled(true);
     obs::registry().reset_values();
+    campaign::CampaignSpec four_shards = spec;
+    four_shards.shards = 4;
     const cache::CachedRunResult warm =
-        cache::run_campaign_cached(spec, result_cache, 4);
+        cache::run_campaign_cached(four_shards, result_cache);
     EXPECT_EQ(warm.cache, cache::HitKind::Exact);
     EXPECT_EQ(obs::metrics().samples_total.value(), 0u);
     EXPECT_EQ(warm.samples_from_cache, cold.analysis.total_samples);
     EXPECT_EQ(warm.analysis.samples_per_alg, cold.analysis.samples_per_alg);
     expect_sets_identical(warm.analysis.measurements,
-                          campaign::run_campaign(spec, 4).measurements);
+                          campaign::run_campaign(four_shards).measurements);
     expect_clusterings_identical(warm.analysis.clustering,
                                  cold.analysis.clustering);
 }
@@ -307,14 +287,14 @@ TEST_F(CacheTest, TruncatedPayloadDegradesToAMissAndSelfRepairs) {
     const campaign::CampaignSpec spec = small_spec();
     cache::ResultCache result_cache = make_cache();
     const cache::CachedRunResult cold =
-        cache::run_campaign_cached(spec, result_cache, 1);
+        cache::run_campaign_cached(spec, result_cache);
 
     const std::string payload = only_file("csv");
     const std::string content = read_file(payload);
     write_file(payload, content.substr(0, content.size() / 2));
 
     const cache::CachedRunResult repaired =
-        cache::run_campaign_cached(spec, result_cache, 1);
+        cache::run_campaign_cached(spec, result_cache);
     EXPECT_EQ(repaired.cache, cache::HitKind::Miss)
         << "a truncated entry must never be served";
     expect_sets_identical(repaired.analysis.measurements,
@@ -326,7 +306,7 @@ TEST_F(CacheTest, TruncatedPayloadDegradesToAMissAndSelfRepairs) {
 TEST_F(CacheTest, TamperedManifestHashFailsValidation) {
     const campaign::CampaignSpec spec = small_spec();
     cache::ResultCache result_cache = make_cache();
-    (void)cache::run_campaign_cached(spec, result_cache, 1);
+    (void)cache::run_campaign_cached(spec, result_cache);
 
     const std::string payload = only_file("csv");
     std::string content = read_file(payload);
@@ -344,7 +324,7 @@ TEST_F(CacheTest, TamperedManifestHashFailsValidation) {
 TEST_F(CacheTest, DroppedSampleRowFailsTheCountCheck) {
     const campaign::CampaignSpec spec = small_spec();
     cache::ResultCache result_cache = make_cache();
-    (void)cache::run_campaign_cached(spec, result_cache, 1);
+    (void)cache::run_campaign_cached(spec, result_cache);
 
     const std::string payload = only_file("csv");
     const std::string content = read_file(payload);
@@ -360,7 +340,7 @@ TEST_F(CacheTest, DroppedSampleRowFailsTheCountCheck) {
 TEST_F(CacheTest, GarbageSidecarIsAdvisoryAndGetsRewritten) {
     const campaign::CampaignSpec spec = small_spec();
     cache::ResultCache result_cache = make_cache();
-    (void)cache::run_campaign_cached(spec, result_cache, 1);
+    (void)cache::run_campaign_cached(spec, result_cache);
     write_file(only_file("meta"), "not a sidecar at all\n");
 
     // The payload still validates, so the exact tier still serves — and the
@@ -374,7 +354,7 @@ TEST_F(CacheTest, GarbageSidecarIsAdvisoryAndGetsRewritten) {
 TEST_F(CacheTest, OrphanPayloadWithoutSidecarStillHitsExactly) {
     const campaign::CampaignSpec spec = small_spec();
     cache::ResultCache result_cache = make_cache();
-    (void)cache::run_campaign_cached(spec, result_cache, 1);
+    (void)cache::run_campaign_cached(spec, result_cache);
     fs::remove(only_file("meta"));
     EXPECT_EQ(result_cache.stats().entries, 0u) << "orphan: no sidecar";
 
@@ -391,10 +371,10 @@ TEST_F(CacheTest, UnusableDirectoryDegradesToPassThrough) {
     cache::ResultCache result_cache(cache::CacheConfig{blocker, 0, 0});
 
     const campaign::CampaignSpec spec = small_spec();
-    const core::AnalysisResult reference = campaign::run_campaign(spec, 1);
+    const core::AnalysisResult reference = campaign::run_campaign(spec);
     for (int round = 0; round < 2; ++round) {
         cache::CachedRunResult run;
-        ASSERT_NO_THROW(run = cache::run_campaign_cached(spec, result_cache, 1));
+        ASSERT_NO_THROW(run = cache::run_campaign_cached(spec, result_cache));
         EXPECT_EQ(run.cache, cache::HitKind::Miss);
         expect_sets_identical(run.analysis.measurements,
                               reference.measurements);
@@ -409,7 +389,7 @@ TEST_F(CacheTest, RacingWritersOfTheSamePlanLeaveAValidEntry) {
     // per-process and renames are atomic): last publish wins, and the entry
     // must validate. A stray temp file from a third, crashed writer is inert.
     const campaign::CampaignSpec spec = small_spec();
-    const core::AnalysisResult result = campaign::run_campaign(spec, 1);
+    const core::AnalysisResult result = campaign::run_campaign(spec);
     cache::ResultCache first = make_cache();
     cache::ResultCache second = make_cache();
     first.store(spec, result.measurements);
@@ -428,9 +408,9 @@ TEST_F(CacheTest, EvictionIsLeastRecentlyUsedOnTheLogicalClock) {
     b.measurement_seed += 1;
     campaign::CampaignSpec c = small_spec();
     c.measurement_seed += 2;
-    const core::AnalysisResult run_a = campaign::run_campaign(a, 1);
-    const core::AnalysisResult run_b = campaign::run_campaign(b, 1);
-    const core::AnalysisResult run_c = campaign::run_campaign(c, 1);
+    const core::AnalysisResult run_a = campaign::run_campaign(a);
+    const core::AnalysisResult run_b = campaign::run_campaign(b);
+    const core::AnalysisResult run_c = campaign::run_campaign(c);
 
     cache::ResultCache result_cache(cache::CacheConfig{dir_, 2, 0});
     result_cache.store(a, run_a.measurements);
@@ -451,8 +431,8 @@ TEST_F(CacheTest, ByteCapEvictsDownToTheBudget) {
     campaign::CampaignSpec a = small_spec();
     campaign::CampaignSpec b = small_spec();
     b.measurement_seed += 1;
-    const core::AnalysisResult run_a = campaign::run_campaign(a, 1);
-    const core::AnalysisResult run_b = campaign::run_campaign(b, 1);
+    const core::AnalysisResult run_a = campaign::run_campaign(a);
+    const core::AnalysisResult run_b = campaign::run_campaign(b);
 
     // Measure one entry's on-disk footprint, then cap the cache at one and
     // a half of it: room for one entry, never for two.
@@ -498,7 +478,7 @@ TEST_F(CacheTest, SkipThenDrawEqualsAPureDrawOnTheGlobalSource) {
 TEST_F(CacheTest, CachedSourceReplaysThePrefixAndExtendsSeamlessly) {
     const campaign::CampaignSpec spec = small_spec(); // budget 15
     cache::ResultCache result_cache = make_cache();
-    (void)cache::run_campaign_cached(spec, result_cache, 1);
+    (void)cache::run_campaign_cached(spec, result_cache);
     const cache::CacheLookup hit = result_cache.lookup(spec);
     ASSERT_EQ(hit.kind, cache::HitKind::Exact);
 

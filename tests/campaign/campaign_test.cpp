@@ -5,8 +5,8 @@
 //!  * the sharded + merged clustering is EXACTLY the clustering of the
 //!    single-process core::analyze_chain run (the ISSUE acceptance check);
 //!  * merging rejects foreign, duplicate and missing shards;
-//!  * an adaptive plan keeps the same counts for every K, and run_shard
-//!    refuses it;
+//!  * an adaptive plan keeps the same counts whatever K its spec names, and
+//!    run_shard refuses it;
 //!  * the CSV persistence round-trip changes nothing.
 
 #include "campaign/campaign.hpp"
@@ -127,9 +127,16 @@ TEST(Campaign, ShardedMergedClusteringEqualsAnalyzeChainExactly) {
     const campaign::CampaignSpec spec = small_spec();
     const core::AnalysisResult reference = reference_run(spec);
     for (const std::size_t k : {1u, 2u, 4u, 7u}) {
-        const core::AnalysisResult sharded = campaign::run_campaign(spec, k);
+        std::vector<campaign::ShardResult> shards;
+        for (std::size_t i = 0; i < k; ++i) {
+            shards.push_back(campaign::run_shard(spec, i, k));
+        }
+        const core::AnalysisResult sharded = core::analyze_measurements(
+            campaign::merge_shards(spec, shards), spec.analysis_config());
         expect_clusterings_identical(sharded.clustering, reference.clustering);
     }
+    expect_clusterings_identical(campaign::run_campaign(spec).clustering,
+                                 reference.clustering);
 }
 
 TEST(Campaign, CsvRoundTripPreservesTheExactClustering) {
@@ -268,7 +275,7 @@ TEST(Campaign, RunShardRejectsUnavailableBackend) {
     // ...but measuring a shard on this build must fail up front.
     EXPECT_THROW((void)campaign::run_shard(spec, 0, 2),
                  relperf::InvalidArgument);
-    EXPECT_THROW((void)campaign::run_campaign(spec, 2),
+    EXPECT_THROW((void)campaign::run_campaign(spec),
                  relperf::InvalidArgument);
 }
 
@@ -316,8 +323,8 @@ TEST(CampaignAdaptive, EndToEndSavesMeasurementsAndKeepsMembership) {
     }();
     const campaign::CampaignSpec adaptive = adaptive_spec();
 
-    const core::AnalysisResult full = campaign::run_campaign(fixed, 2);
-    const core::AnalysisResult early = campaign::run_campaign(adaptive, 2);
+    const core::AnalysisResult full = campaign::run_campaign(fixed);
+    const core::AnalysisResult early = campaign::run_campaign(adaptive);
 
     // The acceptance criterion: fewer total measurements, same final
     // performance-class membership.
@@ -341,11 +348,12 @@ TEST(CampaignAdaptive, EndToEndSavesMeasurementsAndKeepsMembership) {
 TEST(CampaignAdaptive, CountsAndClusteringAreKInvariant) {
     // The stop decisions watch the clustering of all algorithms whatever K
     // the spec names, so the split changes no count and no class.
-    const campaign::CampaignSpec spec = adaptive_spec();
-    const core::AnalysisResult k1 = campaign::run_campaign(spec, 1);
+    campaign::CampaignSpec spec = adaptive_spec();
+    const core::AnalysisResult k1 = campaign::run_campaign(spec);
     EXPECT_LT(k1.total_samples, k1.fixed_n_samples);
     for (const std::size_t k : {2u, 4u, 8u}) {
-        const core::AnalysisResult kr = campaign::run_campaign(spec, k);
+        spec.shards = k;
+        const core::AnalysisResult kr = campaign::run_campaign(spec);
         EXPECT_EQ(kr.samples_per_alg, k1.samples_per_alg) << "K = " << k;
         expect_sets_identical(kr.measurements, k1.measurements);
         expect_clusterings_identical(kr.clustering, k1.clustering);
@@ -443,28 +451,31 @@ campaign::CampaignSpec coordinated_spec() {
     return spec;
 }
 
+/// run_coordinated_campaign over the spec's own source.
+campaign::CoordinatedCampaignResult run_coordinated(
+    const campaign::CampaignSpec& spec, std::size_t shard_count) {
+    campaign::GlobalSampleSource bundle(spec);
+    return campaign::run_coordinated_campaign(spec, shard_count,
+                                              bundle.source());
+}
+
 } // namespace
 
 TEST(CampaignCoordinated, CountsAreKInvariantAndStopHistoryAgrees) {
-    // The coordinator's stop decisions watch the merged clustering, so the
-    // per-algorithm counts, the round count, the stop-set history and the
-    // final clustering must not depend on how the campaign is split.
+    // The stop decisions watch the clustering of all algorithms, so the
+    // per-algorithm counts, the engine's round count and the final
+    // clustering must not depend on the K the run names.
     const campaign::CampaignSpec spec = coordinated_spec();
-    const campaign::CoordinatedCampaignResult k1 =
-        campaign::run_coordinated_campaign(spec, 1);
+    const campaign::CoordinatedCampaignResult k1 = run_coordinated(spec, 1);
     EXPECT_LT(k1.analysis.total_samples, k1.analysis.fixed_n_samples);
-    ASSERT_FALSE(k1.stopset_rounds.empty());
-    EXPECT_EQ(k1.stopset_rounds.size(), k1.rounds);
-    // The final broadcast stops everyone.
-    EXPECT_EQ(k1.stopset_rounds.back(), k1.analysis.measurements.size());
+    EXPECT_GT(k1.rounds, 1u);
+    EXPECT_EQ(k1.rounds, k1.analysis.rounds);
 
     for (const std::size_t k : {2u, 4u, 8u}) {
-        const campaign::CoordinatedCampaignResult kr =
-            campaign::run_coordinated_campaign(spec, k);
+        const campaign::CoordinatedCampaignResult kr = run_coordinated(spec, k);
         EXPECT_EQ(kr.analysis.samples_per_alg, k1.analysis.samples_per_alg)
             << "K = " << k;
         EXPECT_EQ(kr.rounds, k1.rounds);
-        EXPECT_EQ(kr.stopset_rounds, k1.stopset_rounds);
         expect_sets_identical(kr.analysis.measurements,
                               k1.analysis.measurements);
         expect_clusterings_identical(kr.analysis.clustering,
@@ -474,54 +485,48 @@ TEST(CampaignCoordinated, CountsAreKInvariantAndStopHistoryAgrees) {
 
 TEST(CampaignCoordinated, SingleShardEqualsShardLocalBitForBit) {
     // Coordinated and shard-local plans both stop on the clustering of all
-    // algorithms; coordination only records the stop-set history, so the
-    // two make identical decisions — measurement for measurement.
+    // algorithms; the coordination label changes no decision, so the two
+    // runs agree measurement for measurement.
     const campaign::CampaignSpec coordinated = coordinated_spec();
     const campaign::CampaignSpec shard_local = adaptive_spec();
     const campaign::CoordinatedCampaignResult coord =
-        campaign::run_coordinated_campaign(coordinated, 1);
-    const core::AnalysisResult local = campaign::run_campaign(shard_local, 1);
+        run_coordinated(coordinated, 1);
+    const core::AnalysisResult local = campaign::run_campaign(shard_local);
     expect_sets_identical(coord.analysis.measurements, local.measurements);
     EXPECT_EQ(coord.analysis.samples_per_alg, local.samples_per_alg);
+    EXPECT_EQ(coord.rounds, local.rounds);
 }
 
 TEST(CampaignCoordinated, MergeRejectsMismatchedCoordinationPlans) {
     const campaign::CampaignSpec spec = coordinated_spec();
-    const campaign::CoordinatedCampaignResult coord =
-        campaign::run_coordinated_campaign(spec, 2);
-    // Two files of the coordinated run, each manifest recording the
-    // coordinated plan and the broadcast history.
-    std::vector<campaign::ShardResult> sliced =
-        relperf::test::slice_shards(spec, coord.analysis.measurements, 2);
-    for (campaign::ShardResult& shard : sliced) {
-        shard.manifest.stopset_rounds = coord.stopset_rounds;
-    }
+    const core::AnalysisResult coord = campaign::run_campaign(spec);
+    // Two files of the coordinated run.
+    const std::vector<campaign::ShardResult> sliced =
+        relperf::test::slice_shards(spec, coord.measurements, 2);
 
-    // Shard-local shards under a coordinated spec (and vice versa).
-    std::vector<campaign::ShardResult> shards = sliced;
-    shards[1].manifest.adaptive_coordinated = false;
-    EXPECT_THROW((void)campaign::merge_shards(spec, shards), relperf::Error);
+    // Coordinated shards under a shard-local spec (and vice versa): the
+    // label is part of the plan hash, so the hash check refuses both.
     const campaign::CampaignSpec shard_local = adaptive_spec();
     EXPECT_THROW((void)campaign::merge_shards(shard_local, sliced),
                  relperf::Error);
+    const std::vector<campaign::ShardResult> local_shards =
+        relperf::test::slice_shards(shard_local, coord.measurements, 2);
+    EXPECT_THROW((void)campaign::merge_shards(spec, local_shards),
+                 relperf::Error);
 
     // A shard that stopped on a different rule.
-    shards = sliced;
+    std::vector<campaign::ShardResult> shards = sliced;
     shards[0].manifest.adaptive_confidence = 0.99;
     EXPECT_THROW((void)campaign::merge_shards(spec, shards), relperf::Error);
 
-    // A shard from a different coordinator run (divergent stop-set history).
-    shards = sliced;
-    shards[1].manifest.stopset_rounds.back() += 1;
-    EXPECT_THROW((void)campaign::merge_shards(spec, shards), relperf::Error);
-
     expect_sets_identical(campaign::merge_shards(spec, sliced),
-                          coord.analysis.measurements);
+                          coord.measurements);
 }
 
 TEST(CampaignCoordinated, RunShardRejectsCoordinatedSpecs) {
-    // A lone shard cannot see the merged clustering its stop decisions
-    // watch; coordinated plans are adaptive, so run_shard refuses them.
+    // A lone shard cannot see the clustering of all algorithms its stop
+    // decisions watch; coordinated plans are adaptive, so run_shard refuses
+    // them.
     const campaign::CampaignSpec spec = coordinated_spec();
     EXPECT_THROW((void)campaign::run_shard(spec, 0, 2),
                  relperf::InvalidArgument);
@@ -529,24 +534,24 @@ TEST(CampaignCoordinated, RunShardRejectsCoordinatedSpecs) {
 
 TEST(CampaignCoordinated, RunCampaignRoutesCoordinatedSpecs) {
     const campaign::CampaignSpec spec = coordinated_spec();
-    const core::AnalysisResult via_campaign = campaign::run_campaign(spec, 3);
-    const campaign::CoordinatedCampaignResult direct =
-        campaign::run_coordinated_campaign(spec, 3);
+    const core::AnalysisResult via_campaign = campaign::run_campaign(spec);
+    const campaign::CoordinatedCampaignResult direct = run_coordinated(spec, 3);
     expect_sets_identical(via_campaign.measurements,
                           direct.analysis.measurements);
     expect_clusterings_identical(via_campaign.clustering,
                                  direct.analysis.clustering);
     EXPECT_EQ(via_campaign.fixed_n_samples, direct.analysis.fixed_n_samples);
     EXPECT_EQ(via_campaign.total_samples, direct.analysis.total_samples);
+    EXPECT_EQ(via_campaign.rounds, direct.rounds);
 }
 
-TEST(CampaignCoordinated, RequiresAnAdaptiveCoordinatedSpec) {
-    // Fixed-N specs have no rounds to coordinate; shard-local adaptive specs
-    // go through run_campaign.
-    EXPECT_THROW(
-        (void)campaign::run_coordinated_campaign(small_spec(), 2),
-        relperf::Error);
-    EXPECT_THROW(
-        (void)campaign::run_coordinated_campaign(adaptive_spec(), 2),
-        relperf::Error);
+TEST(CampaignCoordinated, RequiresAnAdaptiveSpecAndAValidSplit) {
+    // Fixed-N specs have no rounds; any adaptive spec will do, coordinated
+    // or not, as long as K splits its algorithms.
+    EXPECT_THROW((void)run_coordinated(small_spec(), 2), relperf::Error);
+    EXPECT_NO_THROW((void)run_coordinated(adaptive_spec(), 2));
+    const std::size_t algorithms = adaptive_spec().variants().size();
+    EXPECT_THROW((void)run_coordinated(adaptive_spec(), 0), relperf::Error);
+    EXPECT_THROW((void)run_coordinated(adaptive_spec(), algorithms + 1),
+                 relperf::Error);
 }

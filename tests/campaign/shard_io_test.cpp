@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -247,54 +248,55 @@ TEST(ShardIoAdaptive, WriterRejectsDivergentDeclaredCounts) {
     std::remove(path.c_str());
 }
 
-TEST(ShardIoCoordinated, ManifestRoundTripsAndPlainAdaptiveFilesStayClean) {
+TEST(ShardIoCoordinated, RetiredLinesStillReadAndNewFilesStayClean) {
+    // Files written today carry no coordination lines; the confidence level
+    // round-trips.
     campaign::ShardResult original = adaptive_shard();
-    original.manifest.adaptive_coordinated = true;
     original.manifest.adaptive_confidence = 0.95;
-    original.manifest.stopset_rounds = {0, 1, 2};
     const std::string path =
-        relperf::test::temp_path("shard_coordinated.csv");
+        relperf::test::temp_path("shard_confident.csv");
     campaign::write_shard_csv(original, path);
-    const campaign::ShardResult loaded = campaign::read_shard_csv(path);
-    std::remove(path.c_str());
-    EXPECT_TRUE(loaded.manifest.adaptive_coordinated);
-    EXPECT_DOUBLE_EQ(loaded.manifest.adaptive_confidence, 0.95);
-    EXPECT_EQ(loaded.manifest.stopset_rounds,
-              (std::vector<std::size_t>{0, 1, 2}));
-
-    // A shard-local adaptive shard keeps the exact pre-coordination file
-    // form, and the reader defaults all three new fields off.
-    const std::string plain_path =
-        relperf::test::temp_path("shard_plain_adaptive.csv");
-    campaign::write_shard_csv(adaptive_shard(), plain_path);
-    std::ifstream in(plain_path);
-    const std::string content((std::istreambuf_iterator<char>(in)),
-                              std::istreambuf_iterator<char>());
-    EXPECT_EQ(content.find("coordination"), std::string::npos);
-    EXPECT_EQ(content.find("confidence"), std::string::npos);
-    EXPECT_EQ(content.find("stopset"), std::string::npos);
-    const campaign::ShardResult plain = campaign::read_shard_csv(plain_path);
-    std::remove(plain_path.c_str());
-    EXPECT_FALSE(plain.manifest.adaptive_coordinated);
-    EXPECT_DOUBLE_EQ(plain.manifest.adaptive_confidence, 0.0);
-    EXPECT_TRUE(plain.manifest.stopset_rounds.empty());
-}
-
-TEST(ShardIoCoordinated, BadCoordinationValueNamesTheLine) {
-    campaign::ShardResult shard = adaptive_shard();
-    shard.manifest.adaptive_coordinated = true;
-    const std::string path = relperf::test::temp_path("shard_badcoord.csv");
-    campaign::write_shard_csv(shard, path);
     std::ifstream in(path);
     std::string content((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());
     in.close();
-    const std::string line = "# adaptive_coordination = coordinated";
-    ASSERT_NE(content.find(line), std::string::npos);
-    content.replace(content.find(line), line.size(),
-                    "# adaptive_coordination = telepathic");
-    const std::string bad = write_temp(content, "relperf_badcoord2.csv");
-    EXPECT_THROW((void)campaign::read_shard_csv(bad), relperf::Error);
-    std::remove(bad.c_str());
+    EXPECT_EQ(content.find("coordination"), std::string::npos);
+    EXPECT_EQ(content.find("stopset"), std::string::npos);
+    const campaign::ShardResult loaded = campaign::read_shard_csv(path);
     std::remove(path.c_str());
+    EXPECT_DOUBLE_EQ(loaded.manifest.adaptive_confidence, 0.95);
+
+    // Files from before the lines were retired still read, to the same
+    // shard: the reader ignores both keys, whatever their values.
+    const std::string counts = "# samples_per_algorithm = ";
+    ASSERT_NE(content.find(counts), std::string::npos);
+    content.insert(content.find(counts),
+                   "# adaptive_coordination = coordinated\n"
+                   "# stopset_rounds = 0,1,2\n");
+    const std::string old_path = write_temp(content, "shard_retired.csv");
+    const campaign::ShardResult old = campaign::read_shard_csv(old_path);
+    std::remove(old_path.c_str());
+    EXPECT_EQ(old.manifest.spec_hash, loaded.manifest.spec_hash);
+    EXPECT_DOUBLE_EQ(old.manifest.adaptive_confidence, 0.95);
+    EXPECT_EQ(old.manifest.samples_per_algorithm,
+              loaded.manifest.samples_per_algorithm);
+    ASSERT_EQ(old.measurements.size(), loaded.measurements.size());
+    for (std::size_t i = 0; i < old.measurements.size(); ++i) {
+        const auto a = old.measurements.samples(i);
+        const auto b = loaded.measurements.samples(i);
+        EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+    }
+
+    // A stability-rule adaptive shard writes no confidence line either.
+    const std::string plain_path =
+        relperf::test::temp_path("shard_plain_adaptive.csv");
+    campaign::write_shard_csv(adaptive_shard(), plain_path);
+    std::ifstream plain_in(plain_path);
+    const std::string plain((std::istreambuf_iterator<char>(plain_in)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_EQ(plain.find("confidence"), std::string::npos);
+    EXPECT_DOUBLE_EQ(
+        campaign::read_shard_csv(plain_path).manifest.adaptive_confidence,
+        0.0);
+    std::remove(plain_path.c_str());
 }

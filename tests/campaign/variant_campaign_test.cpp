@@ -214,7 +214,7 @@ TEST(VariantCampaign, MergeRejectsAxisMismatch) {
 
 TEST(VariantCampaign, RunCampaignClustersTheWholeAxis) {
     const campaign::CampaignSpec spec = variant_spec();
-    const core::AnalysisResult result = campaign::run_campaign(spec, 4);
+    const core::AnalysisResult result = campaign::run_campaign(spec);
     EXPECT_EQ(result.measurements.size(), 16u);
     EXPECT_TRUE(result.measurements.contains("algD:portable,A:reference"));
     EXPECT_GE(result.clustering.cluster_count(), 1);

@@ -7,18 +7,23 @@
 //!    max_n, and clamp the last batch to the cap;
 //!  * every algorithm's adaptive sample is a strict prefix of the fixed-N
 //!    sample (per-algorithm streams make extension order-independent);
-//!  * runs are deterministic.
+//!  * runs are deterministic;
+//!  * the last progress tick closes the meter (done == total), also when
+//!    the run stops before its budget's last round.
 
 #include "core/measurement_engine.hpp"
 
 #include "core/pipeline.hpp"
+#include "obs/obs.hpp"
 #include "sim/profile.hpp"
 #include "support/error.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <utility>
+#include <vector>
 
 namespace core = relperf::core;
 namespace sim = relperf::sim;
@@ -215,28 +220,42 @@ TEST(MeasurementEngine, ConfidenceConfigValidation) {
     EXPECT_NO_THROW(config.validate());
 }
 
-TEST(MeasurementEngine, RoundObserverSeesEveryRoundIncludingTheLast) {
-    core::AdaptiveConfig adaptive;
-    adaptive.min_n = 5;
-    adaptive.max_n = 30;
-    adaptive.batch = 3;
-    adaptive.stability_rounds = 2;
-    ScriptedSource source = two_classes();
-    std::vector<core::EngineRound> seen;
-    const core::EngineResult result = engine_for(adaptive).run(
-        source, [&seen](const core::EngineRound& r) { seen.push_back(r); });
+TEST(MeasurementEngine, LastProgressTickReadsDoneEqualsTotal) {
+    // The meter's total is the most rounds the budget allows; whether the
+    // run stops early or uses them all, its last tick must close the meter
+    // (the CLI ends its progress line only when done >= total).
+    std::vector<relperf::obs::Progress> ticks;
+    relperf::obs::set_progress_sink([&ticks](const relperf::obs::Progress& p) {
+        if (std::string(p.stage) == "engine.round") ticks.push_back(p);
+    });
 
-    ASSERT_EQ(seen.size(), result.rounds);
-    std::size_t cumulative = 0;
-    for (std::size_t i = 0; i < seen.size(); ++i) {
-        EXPECT_EQ(seen[i].round, i + 1);
-        cumulative += seen[i].newly_stopped;
-        EXPECT_EQ(seen[i].stopped_total, cumulative);
-        EXPECT_EQ(seen[i].active, source.count() - cumulative);
-    }
-    // The final round stops everyone and extends no one.
-    EXPECT_EQ(seen.back().stopped_total, source.count());
-    EXPECT_EQ(seen.back().active, 0u);
+    // min 5, max 30, batch 3 allows 1 + ceil(25 / 3) = 10 rounds; the
+    // scripted classes settle long before.
+    core::AdaptiveConfig early;
+    early.min_n = 5;
+    early.max_n = 30;
+    early.batch = 3;
+    early.stability_rounds = 2;
+    ScriptedSource source = two_classes();
+    const core::EngineResult stopped = engine_for(early).run(source);
+    ASSERT_LT(stopped.rounds, 10u);
+    ASSERT_FALSE(ticks.empty());
+    EXPECT_EQ(ticks.front().total, 10u);
+    EXPECT_EQ(ticks.back().done, stopped.rounds);
+    EXPECT_EQ(ticks.back().total, stopped.rounds);
+
+    // A run that uses every round ticks once per round, ending on total.
+    ticks.clear();
+    core::AdaptiveConfig full = early;
+    full.max_n = 8;
+    full.stability_rounds = 100;
+    ScriptedSource again = two_classes();
+    const core::EngineResult capped = engine_for(full).run(again);
+    relperf::obs::set_progress_sink({});
+    ASSERT_EQ(capped.rounds, 2u);
+    ASSERT_EQ(ticks.size(), 2u);
+    EXPECT_EQ(ticks.back().done, 2u);
+    EXPECT_EQ(ticks.back().total, 2u);
 }
 
 TEST(EngineResult, SavedSamplesGuardsTheBudgetInvariant) {

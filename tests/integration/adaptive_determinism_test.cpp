@@ -1,11 +1,12 @@
 //! The adaptive refactor's hard invariant, asserted end to end: with
 //! adaptive off (`max_n == min_n`, i.e. spec.adaptive_min == measurements)
 //! the engine-backed paths reproduce the legacy fixed-N batch bit for bit —
-//! through core::analyze_chain and through the campaign run and its shard
-//! file round trip, for K in {1, 3}, on the simulated and the real
-//! executor, over plain assignments and placement x backend variants. (Real-executor *values* are
-//! wall-clock and can never be compared across runs; there the invariant is
-//! the structure: same algorithms, same counts, same stream consumption.)
+//! through core::analyze_chain, the one-host campaign run and the file
+//! round trip of a three-shard split, on the simulated and the real
+//! executor, over plain assignments and placement x backend variants.
+//! (Real-executor *values* are wall-clock and can never be compared across
+//! runs; there the invariant is the structure: same algorithms, same
+//! counts, same stream consumption.)
 
 #include "campaign/campaign.hpp"
 #include "campaign/shard_slices.hpp"
@@ -97,6 +98,14 @@ void expect_clusterings_identical(const core::Clustering& a,
     }
 }
 
+/// run_coordinated_campaign over the spec's own source.
+campaign::CoordinatedCampaignResult run_coordinated(
+    const campaign::CampaignSpec& spec, std::size_t shard_count) {
+    campaign::GlobalSampleSource bundle(spec);
+    return campaign::run_coordinated_campaign(spec, shard_count,
+                                              bundle.source());
+}
+
 } // namespace
 
 TEST(AdaptiveOffInvariant, CampaignMergeIsBitIdenticalOnSim) {
@@ -105,13 +114,11 @@ TEST(AdaptiveOffInvariant, CampaignMergeIsBitIdenticalOnSim) {
             base_spec(campaign::ExecutorKind::Sim, axis.variants);
         const campaign::CampaignSpec engine = engine_off_spec(legacy);
         EXPECT_NE(legacy.hash(), engine.hash()); // different plans on paper...
-        for (const std::size_t k : {std::size_t{1}, std::size_t{3}}) {
-            const core::AnalysisResult a = campaign::run_campaign(legacy, k);
-            const core::AnalysisResult b = campaign::run_campaign(engine, k);
-            SCOPED_TRACE(std::string(axis.label) + " K=" + std::to_string(k));
-            expect_sets_identical(a.measurements, b.measurements, true);
-            expect_clusterings_identical(a.clustering, b.clustering);
-        }
+        const core::AnalysisResult a = campaign::run_campaign(legacy);
+        const core::AnalysisResult b = campaign::run_campaign(engine);
+        SCOPED_TRACE(axis.label);
+        expect_sets_identical(a.measurements, b.measurements, true);
+        expect_clusterings_identical(a.clustering, b.clustering);
     }
 }
 
@@ -120,14 +127,12 @@ TEST(AdaptiveOffInvariant, CampaignMergeKeepsStructureOnReal) {
         const campaign::CampaignSpec legacy =
             base_spec(campaign::ExecutorKind::Real, axis.variants);
         const campaign::CampaignSpec engine = engine_off_spec(legacy);
-        for (const std::size_t k : {std::size_t{1}, std::size_t{3}}) {
-            const core::AnalysisResult a = campaign::run_campaign(legacy, k);
-            const core::AnalysisResult b = campaign::run_campaign(engine, k);
-            SCOPED_TRACE(std::string(axis.label) + " K=" + std::to_string(k));
-            // Wall-clock values differ run to run by nature; names and
-            // per-algorithm counts must agree exactly.
-            expect_sets_identical(a.measurements, b.measurements, false);
-        }
+        const core::AnalysisResult a = campaign::run_campaign(legacy);
+        const core::AnalysisResult b = campaign::run_campaign(engine);
+        SCOPED_TRACE(axis.label);
+        // Wall-clock values differ run to run by nature; names and
+        // per-algorithm counts must agree exactly.
+        expect_sets_identical(a.measurements, b.measurements, false);
     }
 }
 
@@ -187,9 +192,10 @@ TEST(AdaptiveCampaign, ShardedRunIsDeterministicAndPrefixOfFixed) {
     adaptive.adaptive_batch = 4;
     adaptive.adaptive_stability = 2;
 
-    const core::AnalysisResult full = campaign::run_campaign(fixed, 3);
-    const core::AnalysisResult once = campaign::run_campaign(adaptive, 3);
-    const core::AnalysisResult twice = campaign::run_campaign(adaptive, 3);
+    const core::AnalysisResult full = campaign::run_campaign(fixed);
+    const core::AnalysisResult once = campaign::run_campaign(adaptive);
+    adaptive.shards = 3; // names a split; changes no measured value
+    const core::AnalysisResult twice = campaign::run_campaign(adaptive);
 
     // Deterministic: the same adaptive plan keeps the same counts + values.
     expect_sets_identical(once.measurements, twice.measurements, true);
@@ -213,8 +219,8 @@ TEST(AdaptiveCampaign, ShardedRunIsDeterministicAndPrefixOfFixed) {
 }
 
 TEST(CoordinatedCampaign, DeterministicAcrossRunsAndShardCounts) {
-    // The coordinated round loop is one global engine run; splitting it over
-    // K shards is bookkeeping. Same plan -> same bits, for any K, every time.
+    // A coordinated plan is one global engine run; the K it names changes
+    // nothing. Same plan -> same bits, for any K, every time.
     campaign::CampaignSpec spec = base_spec(campaign::ExecutorKind::Sim, false);
     spec.measurements = 20;
     spec.adaptive_min = 6;
@@ -223,28 +229,29 @@ TEST(CoordinatedCampaign, DeterministicAcrossRunsAndShardCounts) {
     spec.adaptive_coordinated = true;
 
     const campaign::CoordinatedCampaignResult first =
-        campaign::run_coordinated_campaign(spec, 1);
+        run_coordinated(spec, 1);
     for (const std::size_t k : {std::size_t{1}, std::size_t{3}}) {
         const campaign::CoordinatedCampaignResult again =
-            campaign::run_coordinated_campaign(spec, k);
+            run_coordinated(spec, k);
         SCOPED_TRACE("K=" + std::to_string(k));
         expect_sets_identical(first.analysis.measurements,
                               again.analysis.measurements, true);
         expect_clusterings_identical(first.analysis.clustering,
                                      again.analysis.clustering);
         EXPECT_EQ(again.rounds, first.rounds);
-        EXPECT_EQ(again.stopset_rounds, first.stopset_rounds);
+        EXPECT_EQ(again.analysis.samples_per_alg,
+                  first.analysis.samples_per_alg);
     }
 }
 
 TEST(CoordinatedCampaign, SamplesStayAPrefixOfTheFixedNPlan) {
-    // Coordinated stopping changes *when* algorithms stop, never the stream
+    // Adaptive stopping changes *when* algorithms stop, never the stream
     // an algorithm draws from: each sample list is the head of the fixed-N
     // list, for the stability rule and the confidence rule alike.
     campaign::CampaignSpec fixed =
         base_spec(campaign::ExecutorKind::Sim, false);
     fixed.measurements = 20;
-    const core::AnalysisResult full = campaign::run_campaign(fixed, 3);
+    const core::AnalysisResult full = campaign::run_campaign(fixed);
 
     campaign::CampaignSpec coordinated = fixed;
     coordinated.adaptive_min = 6;
@@ -254,7 +261,7 @@ TEST(CoordinatedCampaign, SamplesStayAPrefixOfTheFixedNPlan) {
     for (const double confidence : {0.0, 0.95}) {
         coordinated.adaptive_confidence = confidence;
         const campaign::CoordinatedCampaignResult coord =
-            campaign::run_coordinated_campaign(coordinated, 3);
+            run_coordinated(coordinated, 3);
         SCOPED_TRACE(confidence == 0.0 ? "stability" : "confidence");
         ASSERT_EQ(coord.analysis.measurements.size(), full.measurements.size());
         EXPECT_LT(coord.analysis.total_samples, full.total_samples);
@@ -272,8 +279,8 @@ TEST(CoordinatedCampaign, SamplesStayAPrefixOfTheFixedNPlan) {
 }
 
 TEST(CoordinatedCampaign, SingleShardMatchesShardLocalStopping) {
-    // Both plans stop on the clustering of all algorithms; coordination
-    // only records the stop-set history, so the runs coincide.
+    // Both plans stop on the clustering of all algorithms; the coordination
+    // label changes no decision, so the runs coincide.
     campaign::CampaignSpec local = base_spec(campaign::ExecutorKind::Sim, false);
     local.measurements = 20;
     local.adaptive_min = 6;
@@ -282,9 +289,9 @@ TEST(CoordinatedCampaign, SingleShardMatchesShardLocalStopping) {
     campaign::CampaignSpec coordinated = local;
     coordinated.adaptive_coordinated = true;
 
-    const core::AnalysisResult shard_local = campaign::run_campaign(local, 1);
+    const core::AnalysisResult shard_local = campaign::run_campaign(local);
     const campaign::CoordinatedCampaignResult coord =
-        campaign::run_coordinated_campaign(coordinated, 1);
+        run_coordinated(coordinated, 1);
     expect_sets_identical(coord.analysis.measurements,
                           shard_local.measurements, true);
 }

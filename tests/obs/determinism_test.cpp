@@ -80,7 +80,7 @@ RunFiles run_everything(const campaign::CampaignSpec& spec, bool instrumented,
 
     RunFiles files;
 
-    const core::AnalysisResult result = campaign::run_campaign(spec, 2);
+    const core::AnalysisResult result = campaign::run_campaign(spec);
     const std::string measurements_path =
         relperf::test::temp_path(tag + "_measurements.csv");
     const std::string clustering_path =
@@ -195,11 +195,10 @@ TEST_F(DeterminismTest, AnalyzeChainIsByteIdenticalWithObsOn) {
     EXPECT_FALSE(bytes[0].empty());
 }
 
-// Coordinated campaigns add a coordinator loop and two counters on top of
-// the engine; the byte guarantee must survive them. run_shard refuses
-// coordinated specs, so the shard bytes are the single-shard file the
-// result cache stores for the run: its manifest carries the coordinated
-// plan and the broadcast history.
+// A coordinated, confidence-targeted plan runs the engine's rounds with the
+// confidence rule; the byte guarantee must survive them. run_shard refuses
+// adaptive specs, so the shard bytes are the single-shard file the result
+// cache stores for the run.
 TEST_F(DeterminismTest, CoordinatedCampaignIsByteIdenticalWithObsOn) {
     campaign::CampaignSpec spec = base_spec();
     spec.adaptive_min = 5;
@@ -215,8 +214,7 @@ TEST_F(DeterminismTest, CoordinatedCampaignIsByteIdenticalWithObsOn) {
         obs::set_tracing_enabled(instrumented);
         obs::set_metrics_enabled(instrumented);
 
-        const campaign::CoordinatedCampaignResult coord =
-            campaign::run_coordinated_campaign(spec, 2);
+        const core::AnalysisResult coord = campaign::run_campaign(spec);
         const std::string tag =
             instrumented ? "coordinated_on" : "coordinated_off";
         const std::string measurements_path =
@@ -225,23 +223,18 @@ TEST_F(DeterminismTest, CoordinatedCampaignIsByteIdenticalWithObsOn) {
             relperf::test::temp_path(tag + "_clusters.csv");
         const std::string shard_path =
             relperf::test::temp_path(tag + "_shard.csv");
-        core::write_measurements_csv(coord.analysis.measurements,
-                                     measurements_path);
-        core::write_clustering_csv(coord.analysis.clustering,
-                                   coord.analysis.measurements,
+        core::write_measurements_csv(coord.measurements, measurements_path);
+        core::write_clustering_csv(coord.clustering, coord.measurements,
                                    clustering_path);
-        campaign::ShardResult entry = relperf::test::slice_shards(
-            spec, coord.analysis.measurements, 1)[0];
-        entry.manifest.stopset_rounds = coord.stopset_rounds;
-        campaign::write_shard_csv(entry, shard_path);
+        campaign::write_shard_csv(
+            relperf::test::slice_shards(spec, coord.measurements, 1)[0],
+            shard_path);
 
-        if (instrumented) {
-            EXPECT_GT(obs::metrics().coordination_rounds.value(), 0u);
-            EXPECT_EQ(obs::metrics().stopset_broadcast_total.value(),
-                      obs::metrics().coordination_rounds.value() * 2);
-        } else {
-            EXPECT_EQ(obs::metrics().coordination_rounds.value(), 0u);
-        }
+        // The instrumented run must have counted the engine's rounds, or
+        // the comparison proves nothing.
+        EXPECT_EQ(obs::metrics().adaptive_rounds.value(),
+                  instrumented ? coord.rounds : 0u);
+        EXPECT_GT(coord.rounds, 1u);
         obs::set_tracing_enabled(false);
         obs::set_metrics_enabled(false);
 

@@ -210,52 +210,61 @@ TEST_F(MetricsTest, EngineCountersMatchScriptedSourceExactly) {
 }
 
 // The engine clusters exactly once per round: the last round's clustering is
-// published as is, never recomputed. Pinned on the CI coordinated plan
-// (relperf_cli --campaign-init defaults, --adaptive --min-n 10 --coordinated
-// --confidence 0.95 --run --shards 4), which stops after 3 rounds.
+// published as is, never recomputed. Pinned on the CI confidence plan
+// (relperf_cli --campaign-init defaults, --adaptive --min-n 10 --confidence
+// 0.95 --run), which stops after 3 rounds, and on its coordinated twin,
+// which stops the same way at any K.
 TEST_F(MetricsTest, CoordinatedCiPlanClustersOncePerRound) {
     const obs::Metrics& m = obs::metrics();
     obs::set_metrics_enabled(true);
 
     campaign::CampaignSpec spec;
     spec.adaptive_min = 10;
-    spec.adaptive_coordinated = true;
     spec.adaptive_confidence = 0.95;
-    const campaign::CoordinatedCampaignResult run =
-        campaign::run_coordinated_campaign(spec, 4);
+    const core::AnalysisResult plain = campaign::run_campaign(spec);
+    EXPECT_EQ(plain.rounds, 3u);
+    EXPECT_EQ(plain.total_samples, 135u);
+    EXPECT_EQ(m.adaptive_rounds.value(), plain.rounds);
+    EXPECT_EQ(m.clusterings_total.value(), plain.rounds);
 
+    obs::registry().reset_values();
+    spec.adaptive_coordinated = true;
+    campaign::GlobalSampleSource bundle(spec);
+    const campaign::CoordinatedCampaignResult run =
+        campaign::run_coordinated_campaign(spec, 4, bundle.source());
     EXPECT_EQ(run.rounds, 3u);
     EXPECT_EQ(run.analysis.total_samples, 135u);
     EXPECT_EQ(m.adaptive_rounds.value(), run.rounds);
     EXPECT_EQ(m.clusterings_total.value(), run.rounds);
 }
 
-// A one-host run of a K-invariant plan measures once, through one engine.
-// On the CI plan (relperf_cli --campaign-init defaults) with --adaptive
-// --min-n 10 --run --shards 1, the engine's last clustering is published
-// as is: no merged set is clustered again after the 4 rounds.
+// A one-host run measures once, through one engine. On the CI plan
+// (relperf_cli --campaign-init defaults) with --adaptive --min-n 10 --run,
+// the engine's last clustering is published as is: no merged set is
+// clustered again after the 4 rounds.
 TEST_F(MetricsTest, SingleShardAdaptiveCiPlanClustersOncePerRound) {
     const obs::Metrics& m = obs::metrics();
     obs::set_metrics_enabled(true);
 
     campaign::CampaignSpec spec;
     spec.adaptive_min = 10;
-    const core::AnalysisResult result = campaign::run_campaign(spec, 1);
+    const core::AnalysisResult result = campaign::run_campaign(spec);
 
     EXPECT_EQ(result.total_samples, 170u);
     EXPECT_EQ(m.adaptive_rounds.value(), 4u);
     EXPECT_EQ(m.clusterings_total.value(), m.adaptive_rounds.value());
 }
 
-// The fixed-N CI plan split into two shards on one host is still one
-// measurement of the whole plan, so it reports the plan's fixed-N cost
-// (8 algorithms x 30) like any other measuring mode.
+// A one-host run of the fixed-N CI plan is one measurement of the whole
+// plan, whatever shard count its spec names, so it reports the plan's
+// fixed-N cost (8 algorithms x 30) like any other measuring mode.
 TEST_F(MetricsTest, FixedNShardedRunReportsThePlanCost) {
     const obs::Metrics& m = obs::metrics();
     obs::set_metrics_enabled(true);
 
-    const campaign::CampaignSpec spec;
-    const core::AnalysisResult result = campaign::run_campaign(spec, 2);
+    campaign::CampaignSpec spec;
+    spec.shards = 2;
+    const core::AnalysisResult result = campaign::run_campaign(spec);
 
     EXPECT_EQ(result.total_samples, 240u);
     EXPECT_EQ(m.samples_total.value(), 240u);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 using relperf::support::CliParser;
 
@@ -96,6 +97,23 @@ TEST(CliParser, NonIntegerValueThrows) {
     CliParser cli = make_parser();
     ASSERT_TRUE(parse(cli, {"--n", "abc"}));
     EXPECT_THROW((void)cli.value_int("n"), relperf::InvalidArgument);
+}
+
+TEST(CliParser, SizeValueParsesCheckedAndNamesTheOption) {
+    CliParser cli = make_parser();
+    ASSERT_TRUE(parse(cli, {"--n", "100"}));
+    EXPECT_EQ(cli.value_size("n"), 100u);
+    for (const char* bad : {"-1", "1.5", "abc", "99999999999999999999999"}) {
+        CliParser rejecting = make_parser();
+        ASSERT_TRUE(parse(rejecting, {"--n", bad}));
+        try {
+            (void)rejecting.value_size("n");
+            FAIL() << "--n " << bad << " parsed";
+        } catch (const relperf::InvalidArgument& e) {
+            EXPECT_NE(std::string(e.what()).find("--n"), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(CliParser, PositionalArgumentThrows) {

@@ -17,22 +17,19 @@
 //!   $ relperf --campaign plan.spec --shard 0/4 --out shard_0.csv
 //!   $ relperf --campaign plan.spec --shard 1/4 --out shard_1.csv   # ... 2/4, 3/4
 //!   $ relperf --campaign plan.spec --merge 'shard_*.csv'           # 3. cluster
-//!   $ relperf --campaign plan.spec --run --shards 4              # one host
+//!   $ relperf --campaign plan.spec --run                         # one host
 //!
 //! On one host (--run) splitting changes no measured value, so every plan
-//! is measured once through one engine, with or without the result cache
-//! (--cache-dir), and --shards only validates the split.
+//! is measured whole through one engine, with or without the result cache
+//! (--cache-dir); a one-host run takes no shard count.
 //!
 //! Adaptive campaigns (--adaptive, --min-n/--max-n/--batch/--stability)
 //! measure incrementally and stop algorithms whose performance-class
 //! membership stabilized, reporting the measurements saved against the
-//! fixed-N plan; --samples-csv records the per-algorithm counts. Their stop
-//! decisions watch the clustering of all algorithms, so they run with --run
-//! only (--shard refuses them) and their counts never depend on K.
-//! --coordinated adds the coordinator's bookkeeping — the per-round global
-//! stop-set a K-shard split would broadcast, recorded by --stopset-csv;
+//! fixed-N plan; --samples-csv records the per-algorithm counts and
 //! --confidence <q> swaps the stability rule for the confidence-targeted
-//! one.
+//! one. Their stop decisions watch the clustering of all algorithms, so
+//! they run with --run only (--shard refuses them).
 //!
 //! Input format (written by core::write_measurements_csv, campaign shard
 //! files and the experiment benches' --csv option; bench_micro_kernels is the
@@ -115,8 +112,7 @@ int cluster_diff(const std::string& pair) {
 /// True when any adaptive option was given — the one list both
 /// apply_adaptive_overrides and the --input-mode guard consult.
 bool adaptive_options_present(const support::CliParser& cli) {
-    return cli.flag("adaptive") || cli.flag("coordinated") ||
-           cli.value_optional("min-n").has_value() ||
+    return cli.flag("adaptive") || cli.value_optional("min-n").has_value() ||
            cli.value_optional("max-n").has_value() ||
            cli.value_optional("batch").has_value() ||
            cli.value_optional("stability").has_value() ||
@@ -144,7 +140,6 @@ void apply_adaptive_overrides(const support::CliParser& cli,
     if (stability) {
         spec.adaptive_stability = str::parse_positive_size(*stability, "--stability");
     }
-    if (cli.flag("coordinated")) spec.adaptive_coordinated = true;
     if (const auto confidence = cli.value_optional("confidence")) {
         spec.adaptive_confidence = str::parse_double(*confidence,
                                                      "--confidence");
@@ -324,58 +319,22 @@ int campaign_merge(const campaign::CampaignSpec& spec, const std::string& patter
     return 0;
 }
 
-int campaign_run(const campaign::CampaignSpec& spec, std::size_t shard_count,
+int campaign_run(const campaign::CampaignSpec& spec,
                  const cache::CacheConfig& cache_cfg,
                  bool cache_stats,
                  const std::optional<std::string>& out_path,
                  const std::optional<std::string>& merged_csv,
-                 const std::optional<std::string>& samples_csv,
-                 const std::optional<std::string>& stopset_csv) {
-    if (shard_count == 0) shard_count = spec.shards;
-    if (stopset_csv && !spec.adaptive_coordinated) {
-        std::fputs("error: --stopset-csv records the coordinator's per-round "
-                   "stop-set; it needs --coordinated\n",
-                   stderr);
-        return 2;
-    }
-    if (spec.adaptive_coordinated) {
-        std::printf("campaign '%s': %zu shards, coordinated stopping "
-                    "(%s rule)\n\n",
-                    spec.name.c_str(), shard_count,
-                    spec.adaptive_confidence != 0.0 ? "confidence"
-                                                    : "stability");
-    } else {
-        std::printf("campaign '%s': %zu shards\n\n", spec.name.c_str(),
-                    shard_count);
-    }
-
+                 const std::optional<std::string>& samples_csv) {
     // A disabled cache (no --cache-dir) degrades to the plain campaign run.
     cache::ResultCache result_cache(cache_cfg);
-    cache::CachedRunResult run =
-        cache::run_campaign_cached(spec, result_cache, shard_count);
+    const cache::CachedRunResult run =
+        cache::run_campaign_cached(spec, result_cache);
     if (cache_cfg.enabled()) {
         std::printf("cache: %s\n", cache::to_string(run.cache));
         if (cache_stats) print_cache_stats(result_cache);
     }
     const core::AnalysisResult& result = run.analysis;
-    const std::vector<std::size_t>& stopset_rounds = run.stopset_rounds;
 
-    if (spec.adaptive_coordinated) {
-        std::printf("coordinator: %zu rounds, final stop-set %zu/%zu "
-                    "algorithms\n",
-                    run.rounds,
-                    stopset_rounds.empty() ? 0 : stopset_rounds.back(),
-                    result.measurements.size());
-        if (stopset_csv) {
-            support::CsvWriter csv(*stopset_csv, {"round", "stopped_total"});
-            for (std::size_t i = 0; i < stopset_rounds.size(); ++i) {
-                csv.add_row({std::to_string(i + 1),
-                             std::to_string(stopset_rounds[i])});
-            }
-            std::printf("per-round stop-set written to %s\n",
-                        stopset_csv->c_str());
-        }
-    }
     if (merged_csv) {
         core::write_measurements_csv(result.measurements, *merged_csv);
         std::printf("merged measurements written to %s\n\n",
@@ -471,8 +430,6 @@ support::CliParser build_cli() {
     cli.add_option("merge", "merge shard files (glob pattern or "
                             "comma-separated paths) and cluster", "");
     cli.add_flag("run", "run the whole campaign on this machine and cluster");
-    cli.add_option("shards", "override the spec's shard count for --run "
-                             "(0 = spec value)", "0");
     cli.add_option("merged-csv", "also write the merged measurements CSV here "
                                  "(--merge/--run modes)", "");
     cli.add_option("backend", "chain-default linalg backend for campaign "
@@ -496,16 +453,10 @@ support::CliParser build_cli() {
     cli.add_option("stability", "adaptive: consecutive stable clusterings "
                                 "before an algorithm stops (implies "
                                 "--adaptive; default 2)", "");
-    cli.add_flag("coordinated", "adaptive --run: record the coordinator's "
-                                "per-round global stop-set for the K-shard "
-                                "split (implies --adaptive)");
     cli.add_option("confidence", "adaptive: stop on the confidence-targeted "
                                  "rule at this one-sided level, in (0.5, 1) "
                                  "(implies --adaptive; unset = stability "
                                  "rule)", "");
-    cli.add_option("stopset-csv", "write the coordinator's per-round "
-                                  "cumulative stop-set CSV here "
-                                  "(--coordinated --run)", "");
     cli.add_option("samples-csv", "write the per-algorithm sample counts CSV "
                                   "here (campaign modes)", "");
     cli.add_option("cache-dir", "campaign --run: persistent result cache "
@@ -585,12 +536,10 @@ int run_modes(const support::CliParser& cli) {
         return 2;
     }
     if (input &&
-        (adaptive_options_present(cli) || cli.value_optional("samples-csv") ||
-         cli.value_optional("stopset-csv"))) {
+        (adaptive_options_present(cli) || cli.value_optional("samples-csv"))) {
         std::fputs("error: --adaptive/--min-n/--max-n/--batch/--stability/"
-                   "--coordinated/--confidence/--samples-csv/--stopset-csv "
-                   "only apply to campaign modes (--input CSVs were measured "
-                   "elsewhere)\n",
+                   "--confidence/--samples-csv only apply to campaign modes "
+                   "(--input CSVs were measured elsewhere)\n",
                    stderr);
         return 2;
     }
@@ -644,13 +593,6 @@ int run_modes(const support::CliParser& cli) {
                        stderr);
             return 2;
         }
-        if (cli.value_optional("stopset-csv") && !cli.flag("run")) {
-            std::fputs("error: --stopset-csv only applies to --coordinated "
-                       "--run (only the coordinator sees the global "
-                       "stop-set)\n",
-                       stderr);
-            return 2;
-        }
         if (cache_cfg.enabled() && !cli.flag("run")) {
             std::fputs("error: --cache-dir only applies to --run (a shard or "
                        "a merge is a partial plan the cache cannot key)\n",
@@ -667,13 +609,10 @@ int run_modes(const support::CliParser& cli) {
                                   cli.value_optional("merged-csv"),
                                   cli.value_optional("samples-csv"));
         }
-        return campaign_run(spec,
-                            str::parse_size(cli.value("shards"), "--shards"),
-                            cache_cfg, cache_stats,
+        return campaign_run(spec, cache_cfg, cache_stats,
                             cli.value_optional("out"),
                             cli.value_optional("merged-csv"),
-                            cli.value_optional("samples-csv"),
-                            cli.value_optional("stopset-csv"));
+                            cli.value_optional("samples-csv"));
     }
 
     // Standalone `--cache-dir <d> --cache-stats`: inspect the cache and exit.
